@@ -10,14 +10,14 @@ namespace hm::kfusion {
 RaycastResult raycast(const TsdfVolume& volume, const Intrinsics& intrinsics,
                       const SE3& camera_to_world, double mu,
                       const RaycastConfig& config, KernelStats& stats,
-                      hm::common::ThreadPool* pool, KernelPath path) {
+                      hm::common::ThreadPool* pool) {
   RaycastResult result;
   result.vertices = VertexMap(intrinsics.width, intrinsics.height, Vec3f{});
   result.normals = NormalMap(intrinsics.width, intrinsics.height, Vec3f{});
 
   // Per-ray setup (direction, normalization) stays double; the march and
-  // the trilinear samples run in float. min/max via the simd scalar mirrors
-  // so the march arithmetic is the same whichever path computes it.
+  // the trilinear samples run in float, with min/max via the simd scalar
+  // mirrors.
   const auto coarse_step = static_cast<float>(
       std::max(config.step_fraction * mu, volume.voxel_size() * 0.5));
   const float voxel_f = volume.voxel_size_f();
@@ -42,12 +42,18 @@ RaycastResult raycast(const TsdfVolume& volume, const Intrinsics& intrinsics,
           ++steps;
           const Vec3f p{origin.x + dir.x * t, origin.y + dir.y * t,
                         origin.z + dir.z * t};
-          const auto value = volume.sample_f(p, path);
+          const auto value = volume.sample_f(p);
           if (!value) {
             // Unobserved space: step a voxel at a time until re-entering
             // known space.
             have_previous = false;
             t += voxel_f;
+            if (volume.leaving(p, dir)) {
+              // Every later sample is nullopt too: count the steps the
+              // march would take without taking them.
+              for (; t < far_f; t += voxel_f) ++steps;
+              break;
+            }
             continue;
           }
           if (have_previous && previous_value > 0.0f && *value <= 0.0f) {
@@ -56,7 +62,7 @@ RaycastResult raycast(const TsdfVolume& volume, const Intrinsics& intrinsics,
             const float t_hit = previous_t + alpha * (t - previous_t);
             const Vec3f hit{origin.x + dir.x * t_hit, origin.y + dir.y * t_hit,
                             origin.z + dir.z * t_hit};
-            const auto grad = volume.gradient_f(hit, path);
+            const auto grad = volume.gradient_f(hit);
             if (grad && grad->squared_norm() > 1e-12f) {
               result.vertices.set(u, static_cast<int>(v), hit);
               Vec3f n = grad->normalized();

@@ -31,15 +31,14 @@ struct RaycastConfig {
 /// Marches every pixel's ray through the volume from `camera_to_world`,
 /// finds the positive-to-negative zero crossing, refines it by linear
 /// interpolation, and reports world-space position and normal.
-/// Total ray steps are recorded as Kernel::kRaycast. The march itself is
-/// shared code; `path` selects the trilinear-sample implementation
-/// (TsdfVolume::sample_f), whose scalar and SIMD variants are bit-exact —
-/// so the whole raycast is bit-exact across paths, step counts included.
+/// Total ray steps up to the far plane are recorded as Kernel::kRaycast
+/// (the device model's work). Once a ray has left the volume moving away
+/// from it no sample can succeed, so its remaining steps are counted
+/// without sampling (DESIGN.md §9).
 [[nodiscard]] RaycastResult raycast(const TsdfVolume& volume,
                                     const Intrinsics& intrinsics,
                                     const SE3& camera_to_world, double mu,
                                     const RaycastConfig& config, KernelStats& stats,
-                                    hm::common::ThreadPool* pool = nullptr,
-                                    KernelPath path = KernelPath::kAuto);
+                                    hm::common::ThreadPool* pool = nullptr);
 
 }  // namespace hm::kfusion

@@ -1,9 +1,13 @@
 #include "kfusion/tsdf_volume.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <new>
 
 #include "common/simd.hpp"
 
@@ -11,25 +15,43 @@ namespace hm::kfusion {
 
 namespace s = hm::simd;
 
+void TsdfVolume::Unmap::operator()(float* data) const noexcept {
+  if (data != nullptr) ::munmap(data, bytes);
+}
+
+TsdfVolume::Pages TsdfVolume::zero_pages(std::size_t count) {
+  const std::size_t bytes = count * sizeof(float);
+  void* data = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (data == MAP_FAILED) throw std::bad_alloc();
+  // A hint only: without transparent huge pages the mapping still works,
+  // it just takes one fault per 4 KiB page instead of per 2 MiB.
+  (void)::madvise(data, bytes, MADV_HUGEPAGE);
+  return Pages(static_cast<float*>(data), Unmap{bytes});
+}
+
 TsdfVolume::TsdfVolume(int resolution, double size)
     : resolution_(resolution),
       size_(size),
       voxel_size_(size / resolution),
-      tsdf_(static_cast<std::size_t>(resolution) * resolution * resolution, 1.0f),
-      weight_(static_cast<std::size_t>(resolution) * resolution * resolution, 0.0f) {
+      voxel_count_(static_cast<std::size_t>(resolution) * resolution * resolution),
+      tsdf_(zero_pages(voxel_count_)),
+      weight_(zero_pages(voxel_count_)) {
   assert(resolution > 0 && size > 0.0);
-  // resolution^3 must fit in the int32 gather indices of the SIMD sample.
-  assert(resolution <= 1024);
-  const std::int32_t res = resolution;
-  const std::int32_t res2 = res * res;
-  // Lane order lane = dz*4 + dy*2 + dx, dx fastest.
+  const auto res = static_cast<std::size_t>(resolution);
+  const std::size_t res2 = res * res;
   corner_offsets_ = {0,    1,        res,        res + 1,
                      res2, res2 + 1, res2 + res, res2 + res + 1};
 }
 
 void TsdfVolume::clear() {
-  std::fill(tsdf_.begin(), tsdf_.end(), 1.0f);
-  std::fill(weight_.begin(), weight_.end(), 0.0f);
+  // MADV_DONTNEED turns a private anonymous mapping back into untouched
+  // zero-fill pages; a fresh mapping does the same if the advice fails.
+  for (Pages* pages : {&tsdf_, &weight_}) {
+    if (::madvise(pages->get(), pages->get_deleter().bytes, MADV_DONTNEED) != 0) {
+      *pages = zero_pages(voxel_count_);
+    }
+  }
 }
 
 void TsdfVolume::integrate(const DepthImage& depth, const Intrinsics& intrinsics,
@@ -144,18 +166,19 @@ void TsdfVolume::integrate(const DepthImage& depth, const Intrinsics& intrinsics
   const s::vint pitchB = s::vbroadcast_i(depth_pitch);
   const s::vfloat iota = s::viota();
 
-  // kWidth voxels along x per iteration. Invalid lanes are masked out of
-  // the depth gather and blended back to their old voxel values; stores are
-  // full-width but stay inside the row (x1 bounds the group) and each
-  // parallel chunk owns whole z-slices, so no write crosses a chunk.
-  const auto integrate_row_simd = [&](float Kx, float Ky, float Kz,
-                                      std::size_t row_base) {
+  // kWidth voxels along x per iteration over [xs, xe]. Invalid lanes are
+  // masked out of the depth gather and blended back to their old voxel
+  // values; stores are full-width but stay inside the row (xe bounds the
+  // group) and each parallel chunk owns whole z-slices, so no write crosses
+  // a chunk.
+  const auto integrate_row_simd = [&](float Kx, float Ky, float Kz, int xs,
+                                      int xe, std::size_t row_base) {
     const s::vfloat KxB = s::vbroadcast(Kx);
     const s::vfloat KyB = s::vbroadcast(Ky);
     const s::vfloat KzB = s::vbroadcast(Kz);
-    int xi = x0;
+    int xi = xs;
     std::size_t base = row_base;
-    for (; xi + s::kWidth <= x1 + 1; xi += s::kWidth, base += s::kWidth) {
+    for (; xi + s::kWidth <= xe + 1; xi += s::kWidth, base += s::kWidth) {
       const s::vfloat xi_f = iota + s::vbroadcast(static_cast<float>(xi));
       const s::vfloat wx = (xi_f + halfB) * voxelB;
       const s::vfloat cx = s::vfma(r00B, wx, KxB);
@@ -180,8 +203,8 @@ void TsdfVolume::integrate(const DepthImage& depth, const Intrinsics& intrinsics
       valid = s::mask_and(valid, s::cmp_ge(sdf, neg_muB));
       if (s::mask_none(valid)) continue;
       const s::vfloat truncated = s::vmin(oneB, sdf * inv_muB);
-      float* tsdf_ptr = tsdf_.data() + base;
-      float* weight_ptr = weight_.data() + base;
+      float* tsdf_ptr = tsdf_.get() + base;
+      float* weight_ptr = weight_.get() + base;
       const s::vfloat t_old = s::vload(tsdf_ptr);
       const s::vfloat w_old = s::vload(weight_ptr);
       const s::vfloat t_new = s::vfma(t_old, w_old, truncated) / (w_old + oneB);
@@ -189,9 +212,64 @@ void TsdfVolume::integrate(const DepthImage& depth, const Intrinsics& intrinsics
       s::vstore(tsdf_ptr, s::vselect(valid, t_new, t_old));
       s::vstore(weight_ptr, s::vselect(valid, w_new, w_old));
     }
-    for (; xi <= x1; ++xi, ++base) {
+    for (; xi <= xe; ++xi, ++base) {
       update_voxel(xi, Kx, Ky, Kz, base);
     }
+  };
+
+  // Row clipping (DESIGN.md §9). Along a row only wx varies, and each
+  // per-voxel test is, after multiplying the projection by cz > 0, the sign
+  // of a function linear in wx: cz - 1e-6, fx*cx + c*cz for c = cx0 and
+  // cx0 - width, and the same in y. Those functions are evaluated here in
+  // double from the float constants the voxel loop uses (float products are
+  // exact in double), and a voxel passing the float tests satisfies each
+  // one up to its float rounding error. kClipSlack bounds that error
+  // relative to the magnitudes of the terms; it is ~1000x the few roundings
+  // in the chain, so the interval below, widened by one more voxel on each
+  // side, holds every voxel the tests can accept.
+  constexpr double kClipSlack = 1e-4;
+  const double voxel_d = voxel_f;
+  const double wx_max = (static_cast<double>(x1) + 1.0) * voxel_d;
+  const double eps_z = static_cast<double>(1e-6f);
+  const double cu0 = cx0, cu1 = static_cast<double>(cx0) - width_f;
+  const double cv0 = cy0, cv1 = static_cast<double>(cy0) - height_f;
+  const double au0 = static_cast<double>(fx) * r00 + cu0 * r20;
+  const double au1 = static_cast<double>(fx) * r00 + cu1 * r20;
+  const double av0 = static_cast<double>(fy) * r10 + cv0 * r20;
+  const double av1 = static_cast<double>(fy) * r10 + cv1 * r20;
+  const double cu_max = std::max(std::fabs(cu0), std::fabs(cu1));
+  const double cv_max = std::max(std::fabs(cv0), std::fabs(cv1));
+  const auto clip_row = [&](float Kx, float Ky, float Kz, int& xs, int& xe) {
+    const double mx = std::fabs(static_cast<double>(r00)) * wx_max + std::fabs(Kx);
+    const double my = std::fabs(static_cast<double>(r10)) * wx_max + std::fabs(Ky);
+    const double mz =
+        std::fabs(static_cast<double>(r20)) * wx_max + std::fabs(Kz) + eps_z;
+    double lo = -std::numeric_limits<double>::infinity();
+    double hi = std::numeric_limits<double>::infinity();
+    // Keeps the wx where a*wx + b >= -tol.
+    const auto keep = [&](double a, double b, double tol) {
+      if (a > 0.0) {
+        lo = std::max(lo, (-tol - b) / a);
+      } else if (a < 0.0) {
+        hi = std::min(hi, (-tol - b) / a);
+      } else if (b < -tol) {
+        lo = std::numeric_limits<double>::infinity();
+      }
+    };
+    const double tol_u = kClipSlack * (std::fabs(fx) * mx + cu_max * mz);
+    const double tol_v = kClipSlack * (std::fabs(fy) * my + cv_max * mz);
+    const double bu = static_cast<double>(fx) * Kx;
+    const double bv = static_cast<double>(fy) * Ky;
+    keep(r20, Kz - eps_z, kClipSlack * mz);                 // cz > 1e-6
+    keep(au0, bu + cu0 * Kz, tol_u);                        // uf >= 0
+    keep(-au1, -(bu + cu1 * Kz), tol_u);                    // uf < width
+    keep(av0, bv + cv0 * Kz, tol_v);                        // vf >= 0
+    keep(-av1, -(bv + cv1 * Kz), tol_v);                    // vf < height
+    // wx = (xi + 0.5) * voxel; NaN keeps the whole row.
+    const double first = std::ceil(lo / voxel_d - 0.5) - 1.0;
+    const double last = std::floor(hi / voxel_d - 0.5) + 1.0;
+    xs = !(first > x0) ? x0 : first > x1 ? x1 + 1 : static_cast<int>(first);
+    xe = !(last < x1) ? x1 : last < x0 ? x0 - 1 : static_cast<int>(last);
   };
 
   auto integrate_slices = [&](std::size_t z_begin, std::size_t z_end,
@@ -207,16 +285,20 @@ void TsdfVolume::integrate(const DepthImage& depth, const Intrinsics& intrinsics
         const float Kx = s::fmadd_s(r01, wy, s::fmadd_s(r02, wz, tx));
         const float Ky = s::fmadd_s(r11, wy, s::fmadd_s(r12, wz, ty));
         const float Kz = s::fmadd_s(r21, wy, s::fmadd_s(r22, wz, tz));
-        const std::size_t row_base = index(x0, yi, static_cast<int>(zi));
+        // The device model's work is the whole bounding-box row.
+        local_visited += row_len;
+        int xs = x0, xe = x1;
+        clip_row(Kx, Ky, Kz, xs, xe);
+        if (xs > xe) continue;
+        const std::size_t row_base = index(xs, yi, static_cast<int>(zi));
         if (use_simd) {
-          integrate_row_simd(Kx, Ky, Kz, row_base);
+          integrate_row_simd(Kx, Ky, Kz, xs, xe, row_base);
         } else {
           std::size_t base = row_base;
-          for (int xi = x0; xi <= x1; ++xi, ++base) {
+          for (int xi = xs; xi <= xe; ++xi, ++base) {
             update_voxel(xi, Kx, Ky, Kz, base);
           }
         }
-        local_visited += row_len;
       }
     }
     return local_visited;
@@ -262,8 +344,12 @@ std::optional<float> TsdfVolume::sample(Vec3d world) const {
 
 namespace {
 
-/// Continuous voxel coordinates plus the integer cell, shared by both
-/// sample_f paths so their setup is identical by construction.
+/// Continuous voxel coordinates of a world coordinate (voxel centers at
+/// +0.5). Shared by sample_f and leaving so both see the same cell.
+float grid_coordinate(float world, float voxel_f) {
+  return world / voxel_f - 0.5f;
+}
+
 struct SampleSetup {
   bool inside = false;
   int x0 = 0, y0 = 0, z0 = 0;
@@ -272,9 +358,9 @@ struct SampleSetup {
 
 SampleSetup sample_setup(Vec3f world, float voxel_f, int resolution) {
   SampleSetup out;
-  const float gx = world.x / voxel_f - 0.5f;
-  const float gy = world.y / voxel_f - 0.5f;
-  const float gz = world.z / voxel_f - 0.5f;
+  const float gx = grid_coordinate(world.x, voxel_f);
+  const float gy = grid_coordinate(world.y, voxel_f);
+  const float gz = grid_coordinate(world.z, voxel_f);
   const float fgx = std::floor(gx);
   const float fgy = std::floor(gy);
   const float fgz = std::floor(gz);
@@ -294,77 +380,41 @@ SampleSetup sample_setup(Vec3f world, float voxel_f, int resolution) {
   return out;
 }
 
-// Corner parity tables in lane order (dx fastest): 1.0 where the corner is
-// on the +1 side of the axis. Loaded as vectors to build the weight selects.
-alignas(64) constexpr float kCornerDx[8] = {0, 1, 0, 1, 0, 1, 0, 1};
-alignas(64) constexpr float kCornerDy[8] = {0, 0, 1, 1, 0, 0, 1, 1};
-alignas(64) constexpr float kCornerDz[8] = {0, 0, 0, 0, 1, 1, 1, 1};
-
 }  // namespace
 
-std::optional<float> TsdfVolume::sample_f_scalar(Vec3f world) const {
+std::optional<float> TsdfVolume::sample_f(Vec3f world) const {
   const SampleSetup c =
       sample_setup(world, static_cast<float>(voxel_size_), resolution_);
   if (!c.inside) return std::nullopt;
   const std::size_t base = index(c.x0, c.y0, c.z0);
-  // LOCKSTEP MIRROR of sample_f_simd's corner loop: same corner order, same
-  // (wx*wy)*wz product shape, same sequential sum over lane-order products.
+  // Fixed corner order, (wx*wy)*wz product shape and a sequential sum: the
+  // raycast's step counts and hit points depend on these exact bits.
   float value = 0.0f;
-  for (int lane = 0; lane < 8; ++lane) {
-    const std::size_t i = base + static_cast<std::size_t>(corner_offsets_[lane]);
+  for (int corner = 0; corner < 8; ++corner) {
+    const std::size_t i = base + corner_offsets_[static_cast<std::size_t>(corner)];
     if (weight_[i] <= 0.0f) return std::nullopt;
-    const float wx = (lane & 1) != 0 ? c.fx : 1.0f - c.fx;
-    const float wy = (lane & 2) != 0 ? c.fy : 1.0f - c.fy;
-    const float wz = (lane & 4) != 0 ? c.fz : 1.0f - c.fz;
+    const float wx = (corner & 1) != 0 ? c.fx : 1.0f - c.fx;
+    const float wy = (corner & 2) != 0 ? c.fy : 1.0f - c.fy;
+    const float wz = (corner & 4) != 0 ? c.fz : 1.0f - c.fz;
     const float w = (wx * wy) * wz;
     value = value + w * tsdf_[i];
   }
   return value;
 }
 
-std::optional<float> TsdfVolume::sample_f_simd(Vec3f world) const {
-  const SampleSetup c =
-      sample_setup(world, static_cast<float>(voxel_size_), resolution_);
-  if (!c.inside) return std::nullopt;
-  const auto base = static_cast<std::int32_t>(index(c.x0, c.y0, c.z0));
-  const s::vfloat zero = s::vzero();
-  const s::vfloat one = s::vbroadcast(1.0f);
-  const s::vfloat fxB = s::vbroadcast(c.fx);
-  const s::vfloat fyB = s::vbroadcast(c.fy);
-  const s::vfloat fzB = s::vbroadcast(c.fz);
-  const s::vmask all = s::mask_first_n(s::kWidth);
-  const s::vint baseB = s::vbroadcast_i(base);
-  // The 8 trilinear corners in groups of kWidth lanes (1 group on AVX2,
-  // 2 on the 4-wide backends). Zero-weight support voxels abort the sample,
-  // exactly like the scalar reference.
-  float value = 0.0f;
-  for (int g = 0; g < 8; g += s::kWidth) {
-    const s::vint idx = s::vadd_i(baseB, s::vload_i(corner_offsets_.data() + g));
-    const s::vfloat wv = s::vgather_masked(weight_.data(), idx, all);
-    if (!s::mask_all(s::cmp_gt(wv, zero))) return std::nullopt;
-    const s::vfloat tv = s::vgather_masked(tsdf_.data(), idx, all);
-    const s::vfloat wx =
-        s::vselect(s::cmp_gt(s::vload(kCornerDx + g), zero), fxB, one - fxB);
-    const s::vfloat wy =
-        s::vselect(s::cmp_gt(s::vload(kCornerDy + g), zero), fyB, one - fyB);
-    const s::vfloat wz =
-        s::vselect(s::cmp_gt(s::vload(kCornerDz + g), zero), fzB, one - fzB);
-    const s::vfloat prod = ((wx * wy) * wz) * tv;
-    // Sequential lane-order sum so the result is bit-identical to the
-    // scalar mirror (vreduce_add starts at 0; chain through `value`).
-    float lanes[s::kWidth];
-    s::vstore(lanes, prod);
-    for (int lane = 0; lane < s::kWidth; ++lane) {
-      value = value + lanes[lane];
-    }
-  }
-  return value;
-}
-
-std::optional<float> TsdfVolume::sample_f(Vec3f world, KernelPath path) const {
-  const bool use_simd =
-      path == KernelPath::kSimd || (path == KernelPath::kAuto && s::kEnabled);
-  return use_simd ? sample_f_simd(world) : sample_f_scalar(world);
+bool TsdfVolume::leaving(Vec3f world, Vec3f direction) const {
+  // floor(grid_coordinate(origin + direction * t)) is monotone in t under
+  // IEEE rounding, non-decreasing where direction >= 0 and non-increasing
+  // where direction <= 0, so a cell index past an edge of sample_setup's
+  // range stays past it while the ray moves away (DESIGN.md §9).
+  const auto voxel_f = static_cast<float>(voxel_size_);
+  const float max_cell = static_cast<float>(resolution_ - 2);
+  const auto past = [&](float w, float d) {
+    const float cell = std::floor(grid_coordinate(w, voxel_f));
+    return (cell > max_cell && d >= 0.0f) || (cell < 0.0f && d <= 0.0f);
+  };
+  return past(world.x, direction.x) || past(world.y, direction.y) ||
+         past(world.z, direction.z);
 }
 
 std::optional<Vec3f> TsdfVolume::gradient(Vec3d world) const {
@@ -379,14 +429,14 @@ std::optional<Vec3f> TsdfVolume::gradient(Vec3d world) const {
   return Vec3f{*xp - *xm, *yp - *ym, *zp - *zm};
 }
 
-std::optional<Vec3f> TsdfVolume::gradient_f(Vec3f world, KernelPath path) const {
+std::optional<Vec3f> TsdfVolume::gradient_f(Vec3f world) const {
   const float h = voxel_size_f();
-  const auto xp = sample_f({world.x + h, world.y, world.z}, path);
-  const auto xm = sample_f({world.x - h, world.y, world.z}, path);
-  const auto yp = sample_f({world.x, world.y + h, world.z}, path);
-  const auto ym = sample_f({world.x, world.y - h, world.z}, path);
-  const auto zp = sample_f({world.x, world.y, world.z + h}, path);
-  const auto zm = sample_f({world.x, world.y, world.z - h}, path);
+  const auto xp = sample_f({world.x + h, world.y, world.z});
+  const auto xm = sample_f({world.x - h, world.y, world.z});
+  const auto yp = sample_f({world.x, world.y + h, world.z});
+  const auto ym = sample_f({world.x, world.y - h, world.z});
+  const auto zp = sample_f({world.x, world.y, world.z + h});
+  const auto zm = sample_f({world.x, world.y, world.z - h});
   if (!xp || !xm || !yp || !ym || !zp || !zm) return std::nullopt;
   return Vec3f{*xp - *xm, *yp - *ym, *zp - *zm};
 }
@@ -394,7 +444,9 @@ std::optional<Vec3f> TsdfVolume::gradient_f(Vec3f world, KernelPath path) const 
 float TsdfVolume::tsdf_at(int x, int y, int z) const {
   assert(x >= 0 && y >= 0 && z >= 0 && x < resolution_ && y < resolution_ &&
          z < resolution_);
-  return tsdf_[index(x, y, z)];
+  const std::size_t i = index(x, y, z);
+  // Unobserved voxels keep their zero page; they read as free space.
+  return weight_[i] > 0.0f ? tsdf_[i] : 1.0f;
 }
 
 float TsdfVolume::weight_at(int x, int y, int z) const {
@@ -405,8 +457,10 @@ float TsdfVolume::weight_at(int x, int y, int z) const {
 
 double TsdfVolume::occupancy() const {
   std::size_t occupied = 0;
-  for (const float w : weight_) occupied += w > 0.0f ? 1 : 0;
-  return static_cast<double>(occupied) / static_cast<double>(weight_.size());
+  for (std::size_t i = 0; i < voxel_count_; ++i) {
+    occupied += weight_[i] > 0.0f ? 1 : 0;
+  }
+  return static_cast<double>(occupied) / static_cast<double>(voxel_count_);
 }
 
 }  // namespace hm::kfusion

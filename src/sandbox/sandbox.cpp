@@ -258,9 +258,42 @@ std::vector<double> SandboxedEvaluator::fallback_evaluate(
                     : inner_.evaluate_retry(config, nonce);
 }
 
-bool SandboxedEvaluator::spawn_worker(Worker& worker,
-                                      const std::vector<int>& sibling_fds,
-                                      std::uint64_t attempt) {
+namespace {
+
+/// Closes descriptors first..last (close_range, or a plain close loop up to
+/// the descriptor table's size where the kernel lacks it).
+// hm-signal-safe runs in the fork child: close_range and sysconf(_SC_OPEN_MAX) are single system calls (no allocation, locks or stdio), and the fallback loop only calls close
+void close_fd_range(unsigned first, unsigned last) {
+  if (::close_range(first, last, 0) == 0) return;
+  const long limit = ::sysconf(_SC_OPEN_MAX);
+  const unsigned table = limit > 0 ? static_cast<unsigned>(limit) - 1 : 1023u;
+  for (unsigned fd = first; fd <= last && fd <= table; ++fd) {
+    hm::common::close_relaxed(static_cast<int>(fd));
+  }
+}
+
+/// In a freshly forked worker: closes every inherited descriptor except
+/// stdio and the worker's own two pipe ends. Any other copy the child kept
+/// -- a sibling worker's pipes, another evaluator's workers' pipes, the
+/// daemon's sockets and journals -- would hold that descriptor open for as
+/// long as this worker lives, so a worker whose request pipe the supervisor
+/// closes would never see EOF.
+void close_inherited_fds(int keep_a, int keep_b) {
+  const int keep[2] = {keep_a < keep_b ? keep_a : keep_b,
+                       keep_a < keep_b ? keep_b : keep_a};
+  unsigned first = 3;
+  for (const int fd : keep) {
+    const auto k = static_cast<unsigned>(fd);
+    if (k < first) continue;  // A pipe end may reuse a closed stdio slot.
+    if (k > first) close_fd_range(first, k - 1);
+    first = k + 1;
+  }
+  close_fd_range(first, ~0u);
+}
+
+}  // namespace
+
+bool SandboxedEvaluator::spawn_worker(Worker& worker, std::uint64_t attempt) {
   if (policy_.inject_spawn_failures_for_test > 0) {
     --policy_.inject_spawn_failures_for_test;
     return false;
@@ -286,12 +319,11 @@ bool SandboxedEvaluator::spawn_worker(Worker& worker,
     return false;
   }
   if (pid == 0) {
-    // Child. Drop the supervisor-side pipe ends, and every sibling
-    // worker's descriptors: a sibling's response pipe held open here
-    // would defeat the supervisor's EOF-based death detection.
-    hm::common::close_relaxed(request_pipe[1]);
-    hm::common::close_relaxed(response_pipe[0]);
-    for (const int fd : sibling_fds) hm::common::close_relaxed(fd);
+    // Child. Keep only stdio and this worker's own pipe ends: a response
+    // pipe held open here would defeat the supervisor's EOF-based death
+    // detection, and a request pipe would keep its worker from ever seeing
+    // EOF on shutdown.
+    close_inherited_fds(request_pipe[0], response_pipe[1]);
     worker_main(request_pipe[0], response_pipe[1]);
   }
   hm::common::close_relaxed(request_pipe[0]);
@@ -407,9 +439,8 @@ void SandboxedEvaluator::worker_main(int request_fd, int response_fd) {
 int SandboxedEvaluator::destroy_worker(Worker& worker, bool force_kill) {
   pid_t pid = -1;
   {
-    // Field updates and fd closes are serialized with spawn_worker's
-    // sibling-fd collection + fork, so a descriptor number can never be
-    // recycled into a new pipe while a concurrent spawn still lists it.
+    // Field updates are serialized with spawn_worker, which runs under
+    // mutex_ and fills the same fields.
     const std::lock_guard<std::mutex> lock(mutex_);
     pid = worker.pid;
     if (worker.to_child >= 0) hm::common::close_relaxed(worker.to_child);
@@ -490,8 +521,7 @@ std::vector<double> SandboxedEvaluator::supervised(const Configuration& config,
           sleep_seconds(backoff_delay_seconds(policy_, attempt));
           lock.lock();
         }
-        if (spawn_worker(*dead_slot, collect_sibling_fds(*dead_slot),
-                         attempt)) {
+        if (spawn_worker(*dead_slot, attempt)) {
           spawn_failures_in_a_row_ = 0;
           leased = dead_slot;  // Stays busy: this is our lease.
           break;
@@ -654,17 +684,6 @@ std::vector<double> SandboxedEvaluator::supervised(const Configuration& config,
     }
     return response->objectives;
   }
-}
-
-std::vector<int> SandboxedEvaluator::collect_sibling_fds(
-    const Worker& spawning) const {
-  std::vector<int> fds;
-  for (const auto& worker : workers_) {
-    if (worker.get() == &spawning || worker->pid <= 0) continue;
-    fds.push_back(worker->to_child);
-    fds.push_back(worker->from_child);
-  }
-  return fds;
 }
 
 }  // namespace hm::sandbox

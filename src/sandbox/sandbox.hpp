@@ -157,19 +157,13 @@ class SandboxedEvaluator final : public hm::hypermapper::Evaluator {
       const hm::hypermapper::Configuration& config, std::uint64_t nonce);
   /// Spawns into `worker`; returns false on fork/pipe failure. `attempt`
   /// indexes the backoff schedule (0 = no wait).
-  [[nodiscard]] bool spawn_worker(Worker& worker,
-                                  const std::vector<int>& sibling_fds,
-                                  std::uint64_t attempt);
+  [[nodiscard]] bool spawn_worker(Worker& worker, std::uint64_t attempt);
   /// Child-side main loop; never returns.
   [[noreturn]] void worker_main(int request_fd, int response_fd);
   /// Kills (if still alive), reaps, and clears a worker; returns the raw
   /// wait() status (0 when the worker was already gone).
   int destroy_worker(Worker& worker, bool force_kill);
   void trip_circuit_locked();
-  /// Live siblings' pipe fds, for the child to close after fork. Must be
-  /// called with mutex_ held (serialized against destroy_worker's closes).
-  [[nodiscard]] std::vector<int> collect_sibling_fds(
-      const Worker& spawning) const;
 
   hm::hypermapper::Evaluator& inner_;
   SandboxPolicy policy_;

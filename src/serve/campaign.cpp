@@ -260,6 +260,16 @@ std::size_t Campaign::front_size() const {
   return session_ != nullptr ? session_->front_size() : 0;
 }
 
+void Campaign::release_evaluators() {
+  // Nothing is in flight once a campaign settles, and a resume builds a new
+  // Campaign, so the evaluator chain can go now: the sandbox's workers exit
+  // here instead of idling until the daemon does. The optimizer refers to
+  // the chain, so it goes first.
+  optimizer_.reset();
+  sandboxed_.reset();
+  evaluator_.reset();
+}
+
 void Campaign::finalize_done() {
   const hm::common::LogContextScope log_context(id());
   OptimizationResult result = session_->finish();
@@ -267,6 +277,7 @@ void Campaign::finalize_done() {
   report_ = render_report(scenario_->space, result,
                           scenario_->objective_names);
   session_.reset();
+  release_evaluators();
   writer_->close();
   state_ = State::kDone;
   hm::common::log_info() << "campaign " << id() << " done: "
@@ -282,6 +293,7 @@ void Campaign::finalize_parked() {
   session_->interrupt();
   (void)session_->finish();
   session_.reset();
+  release_evaluators();
   writer_->close();
   state_ = State::kParked;
   hm::common::log_info() << "campaign " << id() << " parked ("

@@ -152,6 +152,8 @@ class Campaign {
                            std::string* error);
   void finalize_done();
   void finalize_parked();
+  /// Destroys the optimizer and evaluator chain, stopping sandbox workers.
+  void release_evaluators();
 
   std::unique_ptr<Scenario> scenario_;  ///< Stable address for evaluator_.
   std::unique_ptr<hm::hypermapper::Evaluator> evaluator_;

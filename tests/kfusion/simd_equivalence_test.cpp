@@ -1,6 +1,6 @@
-// Scalar-vs-SIMD equivalence for the four vectorized kernels (DESIGN.md §9).
+// Scalar-vs-SIMD equivalence for the three vectorized kernels (DESIGN.md §9).
 //
-// Bilateral filter, TSDF integrate and raycast promise BIT-EXACT agreement
+// Bilateral filter and TSDF integrate promise BIT-EXACT agreement
 // between KernelPath::kScalar and KernelPath::kSimd — the scalar path is a
 // lane-for-lane mirror of the vector path (same fused-or-not multiply-adds,
 // same exp polynomial, same rounding), so these tests compare with EXPECT_EQ,
@@ -18,7 +18,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -203,81 +202,6 @@ TEST(IntegrateEquivalence, PooledMatchesSerial) {
       }
     }
   }
-}
-
-// --- Trilinear sampling (the raycast inner loop) -------------------------
-
-TEST(SampleEquivalence, ScalarAndSimdAgreeEverywhere) {
-  TsdfVolume volume(52, 4.8);
-  const Intrinsics camera = Intrinsics::kinect(64, 48);
-  SE3 pose;
-  pose.translation = {2.4, 2.4, 0.2};
-  KernelStats stats;
-  volume.integrate(synthetic_depth(64, 48, 51), camera, pose, 0.15, stats);
-
-  hm::common::Rng rng(52);
-  int defined = 0;
-  for (int i = 0; i < 20000; ++i) {
-    // Include out-of-volume probes: nullopt-ness must agree too.
-    const Vec3f p{static_cast<float>(rng.uniform(-0.5, 5.3)),
-                  static_cast<float>(rng.uniform(-0.5, 5.3)),
-                  static_cast<float>(rng.uniform(-0.5, 5.3))};
-    const std::optional<float> scalar = volume.sample_f(p, KernelPath::kScalar);
-    const std::optional<float> simd = volume.sample_f(p, KernelPath::kSimd);
-    ASSERT_EQ(scalar.has_value(), simd.has_value())
-        << "(" << p.x << "," << p.y << "," << p.z << ")";
-    if (scalar) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(*scalar),
-                std::bit_cast<std::uint32_t>(*simd))
-          << "(" << p.x << "," << p.y << "," << p.z << ")";
-      ++defined;
-    }
-  }
-  EXPECT_GT(defined, 300);  // The probe cloud must hit observed space.
-}
-
-// --- Raycast -------------------------------------------------------------
-
-TEST(RaycastEquivalence, ScalarAndSimdBitExactIncludingStepCounts) {
-  TsdfVolume volume(52, 4.8);
-  const Intrinsics camera = Intrinsics::kinect(81, 61);  // Unaligned width.
-  SE3 pose;
-  pose.translation = {2.4, 2.4, 0.2};
-  KernelStats stats;
-  const DepthImage depth = synthetic_depth(81, 61, 61);
-  for (int i = 0; i < 3; ++i) {
-    volume.integrate(depth, camera, pose, 0.15, stats);
-  }
-
-  KernelStats scalar_stats, simd_stats;
-  const RaycastResult scalar_out = raycast(volume, camera, pose, 0.15, {},
-                                           scalar_stats, nullptr,
-                                           KernelPath::kScalar);
-  const RaycastResult simd_out = raycast(volume, camera, pose, 0.15, {},
-                                         simd_stats, nullptr,
-                                         KernelPath::kSimd);
-  // March length is part of the contract: identical samples => identical
-  // stepping => identical op counts.
-  EXPECT_EQ(scalar_stats.count(Kernel::kRaycast),
-            simd_stats.count(Kernel::kRaycast));
-
-  int hits = 0;
-  for (int v = 0; v < camera.height; ++v) {
-    for (int u = 0; u < camera.width; ++u) {
-      const Vec3f sv = scalar_out.vertices.at(u, v);
-      const Vec3f iv = simd_out.vertices.at(u, v);
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(sv.x), std::bit_cast<std::uint32_t>(iv.x));
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(sv.y), std::bit_cast<std::uint32_t>(iv.y));
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(sv.z), std::bit_cast<std::uint32_t>(iv.z));
-      const Vec3f sn = scalar_out.normals.at(u, v);
-      const Vec3f in = simd_out.normals.at(u, v);
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(sn.x), std::bit_cast<std::uint32_t>(in.x));
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(sn.y), std::bit_cast<std::uint32_t>(in.y));
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(sn.z), std::bit_cast<std::uint32_t>(in.z));
-      hits += sv == Vec3f{} ? 0 : 1;
-    }
-  }
-  EXPECT_GT(hits, 300);  // The comparison must cover real surface hits.
 }
 
 // --- ICP -----------------------------------------------------------------
