@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "examples/kernel_report.hpp"
 
 namespace {
 
@@ -98,6 +99,9 @@ void run_device(const std::string& device_name, const bench::Scale& scale,
     bench::report("speed improvement over default",
                   device_name == "odroid" ? "6.35x" : "(not reported)",
                   bench::fmt("%.2fx", default_objectives[0] / sample.objectives[0]));
+    // The winning configuration's counted kernel work (cached, so free).
+    examples::print_kernel_stats("best configuration",
+                                 evaluator.measure(sample.config).stats);
   }
 
   if (out_prefix) {

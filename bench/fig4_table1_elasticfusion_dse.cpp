@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "examples/kernel_report.hpp"
 
 namespace {
 
@@ -115,6 +116,8 @@ int main(int argc, char** argv) {
                              default_objectives[1] / sample.objectives[1]) +
                       bench::fmt("%.2fx speedup",
                                  default_objectives[0] / sample.objectives[0]));
+    examples::print_kernel_stats("best-accuracy configuration",
+                                 evaluator.measure(sample.config).stats);
   }
 
   // Intermediate front points between best speed and best accuracy, like

@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
 
   std::vector<FrontPoint> front;
   if (const auto path = args.get("front")) {
-    // Load a front produced by tune_kfusion --out and re-measure it.
+    // Load a front written by `hm_tune --out` for a kfusion scenario and
+    // re-measure it.
     const auto table = common::read_csv_file(*path);
     if (!table) {
       hm::common::log_error() << "cannot read " << *path;

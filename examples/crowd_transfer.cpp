@@ -11,10 +11,10 @@
 //
 // --sandbox/--eval-timeout/--eval-mem-limit run the tuning stage's
 // evaluations in forked worker processes with hard kill and resource caps
-// (see tune_kfusion).
+// (see sandbox_cli.hpp).
 //
 // --trace/--metrics export the run's spans and counter/histogram snapshot
-// (see tune_kfusion for the formats).
+// (see observability.hpp for the formats).
 //
 // With --journal, both stages are resumable: the tuning run journals to
 // <path>.tune and the per-device campaign to <path>, so a run killed at

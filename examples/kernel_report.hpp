@@ -1,7 +1,7 @@
-// Per-kernel op-count report for the SLAM example binaries. Split from
-// observability.hpp so binaries without a kfusion dependency (hm_client,
-// hm_serve) can share the --trace/--metrics plumbing without linking the
-// kernel layer.
+// Per-kernel op-count report for the SLAM example and bench binaries.
+// Split from observability.hpp so drivers that report no kernel work
+// (hm_tune, hm_serve) share the --trace/--metrics plumbing without the
+// kernel layer's headers.
 #pragma once
 
 #include <cstddef>

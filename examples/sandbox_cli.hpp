@@ -1,5 +1,5 @@
-// Shared CLI plumbing for process-isolated evaluation in the tuning
-// drivers: parses --sandbox / --eval-timeout SECONDS / --eval-mem-limit MB
+// CLI plumbing for process-isolated evaluation in crowd_transfer's tuning
+// stage (hm_tune scenarios use "sandbox": true instead): parses --sandbox / --eval-timeout SECONDS / --eval-mem-limit MB
 // (plus --sandbox-workers N) and wraps the driver's evaluator in
 // hm::sandbox::SandboxedEvaluator so aggressive design-space corners that
 // segfault, hang, or exhaust memory are killed and quarantined instead of

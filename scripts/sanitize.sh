@@ -24,7 +24,7 @@ export HM_BUILD_TARGETS="resilient_evaluator_test optimizer_test crowd_test
   atomic_file_test run_journal_test simd_test simd_equivalence_test
   sandbox_protocol_test sandbox_test serve_protocol_test serve_test
   serve_recovery_test serve_obs_test obs_metrics_test obs_trace_test
-  flight_recorder_test"
+  flight_recorder_test json_test"
 
 for SAN in address undefined; do
   BUILD_DIR="build-${SAN}"

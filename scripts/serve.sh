@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Serving job: builds the hm_serve daemon + hm_client and runs the "serve"
-# and "obs" ctest labels (socket framing matrix, scenario surface, daemon
-# lifecycle, forked-daemon SIGKILL recovery, scrape-endpoint chaos), then
-# drives the real binaries end to end:
-#   1. smoke:    daemon up, client submits a campaign, report comes back,
-#                SIGTERM drains the daemon and it exits 130
+# Serving job: builds the hm_serve daemon + the hm_tune driver and runs the
+# "serve" and "obs" ctest labels (socket framing matrix, scenario surface,
+# daemon lifecycle, forked-daemon SIGKILL recovery, scrape-endpoint chaos),
+# then drives the real binaries end to end:
+#   1. smoke:    daemon up, hm_tune submits a campaign, report comes back;
+#                a served KFusion report equals the same scenario's report
+#                run in-process; SIGTERM drains the daemon and it exits 130
 #   2. recovery: kill -9 the daemon mid-campaign, restart it over the same
 #                journal directory, resume the campaign from another client,
 #                and require the recovered report to be byte-identical to
-#                the uninterrupted one
+#                the uninterrupted one; likewise for an in-process run
+#                stopped by SIGINT (exit 130); --port 70000 exits 1
 #   3. obs:      traced sandbox campaign produces one merged Chrome trace
 #                spanning client, daemon, and forked workers; /metrics and
 #                /status scrape live over loopback HTTP; a kill -9 is
@@ -24,14 +26,25 @@ cd "$(hm_repo_root)"
 
 BUILD_DIR="${BUILD_DIR:-build}"
 
-export HM_BUILD_TARGETS="hm_serve hm_client serve_protocol_test serve_test
-  serve_recovery_test serve_obs_test obs_metrics_test obs_trace_test
+export HM_BUILD_TARGETS="hm_serve hm_tune serve_protocol_test serve_test
+  serve_recovery_test serve_obs_test obs_metrics_test obs_trace_test json_test
   flight_recorder_test"
 hm_configure_build "$BUILD_DIR"
 hm_ctest "$BUILD_DIR" -L 'serve|obs'
 
+# Runs "$@" and fails the job unless it exits with status $1.
+expect_exit() {
+  local want=$1 got=0
+  shift
+  "$@" || got=$?
+  if [[ "$got" != "$want" ]]; then
+    echo "serve: expected exit $want from '$*', got $got" >&2
+    exit 1
+  fi
+}
+
 HM_SERVE="$BUILD_DIR/src/serve/hm_serve"
-HM_CLIENT="$BUILD_DIR/examples/hm_client"
+HM_TUNE="$BUILD_DIR/examples/hm_tune"
 WORK="$(mktemp -d)"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
@@ -47,24 +60,30 @@ SCENARIO='{"name": "smoke", "seed": 7,
   "evaluator": {"kind": "grid", "fail_modulo": 17, "fail_remainder": 3,
                 "hang_modulo": 2, "hang_remainder": 0,
                 "hang_seconds": 0.2}}'
+KF_SCENARIO='{"name": "kf-small", "seed": 3,
+  "evaluator": {"kind": "kfusion", "device": "odroid", "frames": 8},
+  "budget": {"random_samples": 12, "max_iterations": 2,
+             "max_samples_per_iteration": 6, "pool_size": 500,
+             "tree_count": 8}}'
 
-echo "== serve: daemon + client smoke, SIGTERM drain =="
+echo "== serve: daemon + client smoke, served KFusion == local, SIGTERM drain =="
 "$HM_SERVE" --dir "$WORK/reference" --socket "$WORK/ref.sock" &
 REF_PID=$!
-"$HM_CLIENT" --socket "$WORK/ref.sock" --scenario "$SCENARIO" \
+"$HM_TUNE" --socket "$WORK/ref.sock" --scenario "$SCENARIO" \
     --report "$WORK/reference.txt"
 test -s "$WORK/reference.txt"
+"$HM_TUNE" --socket "$WORK/ref.sock" --scenario "$KF_SCENARIO" \
+    --report "$WORK/kf-served.txt"
+"$HM_TUNE" --dir "$WORK/kf-local" --scenario "$KF_SCENARIO" \
+    --report "$WORK/kf-local.txt"
+cmp "$WORK/kf-served.txt" "$WORK/kf-local.txt"
 kill -TERM "$REF_PID"
-set +e; wait "$REF_PID"; DRAIN_RC=$?; set -e
-if [[ "$DRAIN_RC" != 130 ]]; then
-  echo "serve: expected exit 130 after SIGTERM drain, got $DRAIN_RC" >&2
-  exit 1
-fi
+expect_exit 130 wait "$REF_PID"  # SIGTERM drain.
 
 echo "== serve: kill -9 mid-campaign, restart, byte-identical recovery =="
 "$HM_SERVE" --dir "$WORK/crash" --socket "$WORK/crash.sock" &
 CRASH_PID=$!
-"$HM_CLIENT" --socket "$WORK/crash.sock" --scenario "$SCENARIO" \
+"$HM_TUNE" --socket "$WORK/crash.sock" --scenario "$SCENARIO" \
     --report "$WORK/never-written.txt" &
 CLIENT_PID=$!
 # Wait for the campaign's write-ahead log to hold durable records, let a
@@ -84,15 +103,31 @@ test ! -s "$WORK/never-written.txt"
 
 "$HM_SERVE" --dir "$WORK/crash" --socket "$WORK/crash.sock" &
 RECOVER_PID=$!
-"$HM_CLIENT" --socket "$WORK/crash.sock" --resume smoke \
+"$HM_TUNE" --socket "$WORK/crash.sock" --resume smoke \
     --report "$WORK/recovered.txt"
 cmp "$WORK/reference.txt" "$WORK/recovered.txt"
 kill -TERM "$RECOVER_PID"
-set +e; wait "$RECOVER_PID"; DRAIN_RC=$?; set -e
-if [[ "$DRAIN_RC" != 130 ]]; then
-  echo "serve: expected exit 130 after SIGTERM drain, got $DRAIN_RC" >&2
-  exit 1
-fi
+expect_exit 130 wait "$RECOVER_PID"  # SIGTERM drain.
+
+echo "== serve: in-process run stopped by SIGINT, byte-identical resume =="
+# The smoke scenario stretched to four active-learning batches, so a SIGINT
+# sent once the first evaluations are journaled lands mid-run.
+LONG_SCENARIO="${SCENARIO/\"max_iterations\": 2/\"max_iterations\": 4}"
+"$HM_TUNE" --dir "$WORK/whole" --scenario "$LONG_SCENARIO" \
+    --report "$WORK/whole.txt"
+"$HM_TUNE" --dir "$WORK/sigint" --scenario "$LONG_SCENARIO" \
+    --report "$WORK/sigint.txt" &
+TUNE_PID=$!
+for _ in $(seq 1 200); do
+  grep -qa ' eval ' "$WORK/sigint/smoke.wal" 2>/dev/null && break
+  sleep 0.05
+done
+kill -INT "$TUNE_PID"
+expect_exit 130 wait "$TUNE_PID"
+test ! -e "$WORK/sigint.txt"
+"$HM_TUNE" --dir "$WORK/sigint" --resume smoke --report "$WORK/sigint.txt"
+cmp "$WORK/whole.txt" "$WORK/sigint.txt"
+expect_exit 1 "$HM_TUNE" --port 70000 --ping  # Out of range, not 4464.
 
 echo "== serve: observability — merged trace, live scrapes, flight recorder =="
 
@@ -140,7 +175,7 @@ done
 HTTP_PORT="$(tr -d '[:space:]' < "$WORK/http.port")"
 
 # (a) One traced campaign, one merged cross-process timeline.
-"$HM_CLIENT" --socket "$WORK/obs.sock" --scenario "$OBS_SCENARIO" \
+"$HM_TUNE" --socket "$WORK/obs.sock" --scenario "$OBS_SCENARIO" \
     --trace "$WORK/trace.json" --metrics "$WORK/client-metrics.txt" \
     --report "$WORK/obstrace.txt"
 test -s "$WORK/obstrace.txt"
@@ -183,7 +218,7 @@ PY
 # kill: every eval event's sample count was read *after* the journal
 # committed that batch, so it can never exceed the eval records a crash
 # leaves on disk.
-"$HM_CLIENT" --socket "$WORK/obs.sock" --scenario "$CRASH_SCENARIO" \
+"$HM_TUNE" --socket "$WORK/obs.sock" --scenario "$CRASH_SCENARIO" \
     --report "$WORK/obscrash-never.txt" &
 OBS_CLIENT_PID=$!
 for _ in $(seq 1 100); do
@@ -242,15 +277,11 @@ PY
     --http-port 0 --http-port-file "$WORK/http.port2" \
     --flight-dump "$WORK/flight.json" &
 OBS2_PID=$!
-"$HM_CLIENT" --socket "$WORK/obs.sock" --resume obscrash \
+"$HM_TUNE" --socket "$WORK/obs.sock" --resume obscrash \
     --report "$WORK/obscrash.txt"
 test -s "$WORK/obscrash.txt"
 kill -TERM "$OBS2_PID"
-set +e; wait "$OBS2_PID"; DRAIN_RC=$?; set -e
-if [[ "$DRAIN_RC" != 130 ]]; then
-  echo "serve: expected exit 130 after SIGTERM drain, got $DRAIN_RC" >&2
-  exit 1
-fi
+expect_exit 130 wait "$OBS2_PID"  # SIGTERM drain.
 test -s "$WORK/flight.json"
 python3 - "$WORK/flight.json" <<'PY'
 import json, sys

@@ -22,7 +22,7 @@ BUILD_DIR="${BUILD_DIR:-build-tsan}"
 HM_BUILD_TARGETS="thread_pool_test harness_test optimizer_test
   simd_equivalence_test sandbox_protocol_test sandbox_test
   serve_protocol_test serve_test serve_recovery_test serve_obs_test
-  obs_metrics_test obs_trace_test flight_recorder_test" \
+  obs_metrics_test obs_trace_test flight_recorder_test json_test" \
   hm_configure_build "$BUILD_DIR" -DHM_SANITIZE=thread
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   hm_ctest "$BUILD_DIR" -L 'tsan|simd|sandbox|serve|obs'

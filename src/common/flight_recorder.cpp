@@ -6,7 +6,7 @@
 #include <csignal>
 
 #include "common/atomic_file.hpp"
-#include "common/metrics.hpp"
+#include "common/json.hpp"
 
 namespace hm::common {
 namespace {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/atomic_file.hpp"
+#include "common/json.hpp"
 
 namespace hm::common {
 namespace {
@@ -286,30 +287,6 @@ std::string labeled_metric(std::string_view name,
   }
   identity.push_back('}');
   return identity;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\n': out.append("\\n"); break;
-      case '\r': out.append("\\r"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out.append(buffer);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 std::string to_prometheus_text(const MetricsSnapshot& snapshot) {

@@ -219,9 +219,6 @@ class MetricsRegistry {
 [[nodiscard]] std::string labeled_metric(std::string_view name,
                                          std::vector<MetricLabel> labels);
 
-/// Escapes `\`, `"`, control characters for embedding in a JSON string.
-[[nodiscard]] std::string json_escape(std::string_view text);
-
 /// Prometheus text exposition format (TYPE lines, cumulative `_bucket{le=}`
 /// series, `_sum`/`_count`). Deterministic: follows snapshot order.
 [[nodiscard]] std::string to_prometheus_text(const MetricsSnapshot& snapshot);

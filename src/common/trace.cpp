@@ -14,6 +14,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/checkpoint.hpp"
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 
 namespace hm::common {

@@ -2,7 +2,10 @@
 
 #include <cerrno>
 #include <cstring>
+#include <deque>
 #include <exception>
+#include <mutex>
+#include <string>
 
 #include <signal.h>
 #include <sys/resource.h>
@@ -29,6 +32,18 @@ using hm::hypermapper::EvaluationTimeout;
 
 /// Set only inside a worker process, for fault-injection tests.
 int g_worker_response_fd = -1;
+
+/// "sandbox_worker_<index>", interned for the life of the process: trace
+/// events keep span names as raw pointers until the trace is written.
+const char* worker_span_name(std::size_t index) {
+  static std::mutex mutex;
+  static std::deque<std::string> names;  // hm-guarded-by(mutex)
+  const std::lock_guard<std::mutex> lock(mutex);
+  while (names.size() <= index) {
+    names.push_back("sandbox_worker_" + std::to_string(names.size()));
+  }
+  return names[index].c_str();  // deque growth never moves elements.
+}
 
 /// Global-registry handles resolved once; the registry owns the metrics.
 struct SandboxMetrics {
@@ -180,7 +195,7 @@ SandboxedEvaluator::SandboxedEvaluator(hm::hypermapper::Evaluator& inner,
   workers_.reserve(policy_.workers);
   for (std::size_t i = 0; i < policy_.workers; ++i) {
     auto worker = std::make_unique<Worker>();
-    worker->span_name = "sandbox_worker_" + std::to_string(i);
+    worker->span_name = worker_span_name(i);
     workers_.push_back(std::move(worker));
   }
 }
@@ -553,7 +568,7 @@ std::vector<double> SandboxedEvaluator::supervised(const Configuration& config,
       ++stats_.requests;
     }
     metrics.requests->increment();
-    const hm::common::TraceSpan span(worker.span_name.c_str(), "sandbox",
+    const hm::common::TraceSpan span(worker.span_name, "sandbox",
                                      metrics.eval_seconds);
 
     EvalRequest request;

@@ -145,7 +145,10 @@ class SandboxedEvaluator final : public hm::hypermapper::Evaluator {
     std::size_t served = 0;
     bool busy = false;  // hm-guarded-by(mutex_)
     bool fresh = true;  ///< No request delivered since spawn.
-    std::string span_name;
+    /// Process-lifetime storage: recorded trace events keep the pointer
+    /// until the trace is written, which may be after this evaluator is
+    /// destroyed (a settled serve campaign releases its sandbox).
+    const char* span_name = "";
   };
 
   /// RAII worker lease; releases the slot and wakes waiters on scope exit.

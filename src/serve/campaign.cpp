@@ -272,8 +272,8 @@ void Campaign::release_evaluators() {
 
 void Campaign::finalize_done() {
   const hm::common::LogContextScope log_context(id());
-  OptimizationResult result = session_->finish();
-  interrupted_ = result.interrupted;
+  result_ = session_->finish();
+  const OptimizationResult& result = *result_;
   report_ = render_report(scenario_->space, result,
                           scenario_->objective_names);
   session_.reset();

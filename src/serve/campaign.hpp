@@ -128,7 +128,18 @@ class Campaign {
   /// stat records — the same rendering the crash harness compares
   /// byte-for-byte.
   [[nodiscard]] const std::string& report() const noexcept { return report_; }
-  [[nodiscard]] bool interrupted() const noexcept { return interrupted_; }
+  [[nodiscard]] bool interrupted() const noexcept {
+    return result_ && result_->interrupted;
+  }
+  /// The scenario and, once done, the result the report renders — for
+  /// drivers that export more than the report (e.g. a front CSV).
+  [[nodiscard]] const Scenario& scenario() const noexcept {
+    return *scenario_;
+  }
+  [[nodiscard]] const std::optional<hm::hypermapper::OptimizationResult>&
+  result() const noexcept {
+    return result_;
+  }
 
   /// Renders a result the way Campaign does (shared with tests).
   [[nodiscard]] static std::string render_report(
@@ -170,7 +181,7 @@ class Campaign {
   std::size_t retries_ = 0;
   std::string park_reason_;
   std::string report_;
-  bool interrupted_ = false;
+  std::optional<hm::hypermapper::OptimizationResult> result_;
 };
 
 }  // namespace hm::serve

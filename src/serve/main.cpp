@@ -39,11 +39,17 @@ int main(int argc, char** argv) {
   // tagged via the per-evaluation log context), with or without --trace.
   common::set_log_format(common::LogFormat::kTimestamped);
   const auto observability = examples::Observability::from_args(args);
+  const std::int64_t port = args.get_or("port", std::int64_t{0});
+  const std::int64_t http_port = args.get_or("http-port", std::int64_t{-1});
+  if (port < 0 || port > 65535 || http_port < -1 || http_port > 65535) {
+    common::log_error() << "hm_serve: --port and --http-port must be in "
+                           "[0, 65535]";
+    return 1;
+  }
   serve::ServerConfig config;
   config.journal_dir = args.get_or("dir", std::string("campaigns"));
   config.socket_path = args.get_or("socket", std::string());
-  config.tcp_port =
-      static_cast<std::uint16_t>(args.get_or("port", std::int64_t{0}));
+  config.tcp_port = static_cast<std::uint16_t>(port);
   config.max_campaigns =
       static_cast<std::size_t>(args.get_or("max-campaigns", std::int64_t{4}));
   config.max_connections = static_cast<std::size_t>(
@@ -52,8 +58,7 @@ int main(int argc, char** argv) {
   config.pool_threads =
       static_cast<std::size_t>(args.get_or("pool", std::int64_t{0}));
   config.auto_resume = args.flag("auto-resume");
-  config.http_port =
-      static_cast<int>(args.get_or("http-port", std::int64_t{-1}));
+  config.http_port = static_cast<int>(http_port);
   config.flight_dump_path = args.get_or("flight-dump", std::string());
 
   if (!common::install_shutdown_handler()) {

@@ -6,245 +6,42 @@
 #include <cstdlib>
 #include <thread>
 
+#include "common/json.hpp"
+#include "dataset/sequence.hpp"
 #include "hypermapper/resilient_evaluator.hpp"
+#include "slambench/adapters.hpp"
 
 namespace hm::serve {
 
 namespace {
 
+using hm::common::JsonValue;
 using hm::hypermapper::Configuration;
 using hm::hypermapper::DesignSpace;
 using hm::hypermapper::EvaluationError;
 using hm::hypermapper::Evaluator;
 using hm::hypermapper::Parameter;
 
-class JsonParser {
- public:
-  JsonParser(std::string_view text, std::string* error)
-      : text_(text), error_(error) {}
+constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
 
-  [[nodiscard]] std::optional<JsonValue> parse() {
-    skip_whitespace();
-    JsonValue value;
-    if (!parse_value(value)) return std::nullopt;
-    skip_whitespace();
-    if (pos_ != text_.size()) {
-      fail("trailing bytes after JSON document");
-      return std::nullopt;
-    }
-    return value;
-  }
+/// Bounds on a SLAM scenario's sequence length: a client cannot make the
+/// daemon render an unbounded sequence, and the paper's 400 frames fit.
+constexpr std::size_t kMinFrames = 2;
+constexpr std::size_t kMaxFrames = 1000;
 
- private:
-  void fail(const std::string& message) {
-    if (error_ != nullptr && error_->empty()) {
-      *error_ = message + " (at byte " + std::to_string(pos_) + ")";
-    }
-  }
+[[nodiscard]] bool is_slam_kind(const std::string& kind) {
+  return kind == "kfusion" || kind == "elasticfusion";
+}
 
-  void skip_whitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] bool consume(char expected) {
-    if (pos_ < text_.size() && text_[pos_] == expected) {
-      ++pos_;
-      return true;
-    }
-    fail(std::string("expected '") + expected + "'");
-    return false;
-  }
-
-  [[nodiscard]] bool parse_value(JsonValue& out) {
-    if (++depth_ > kMaxDepth) {
-      fail("nesting too deep");
-      return false;
-    }
-    skip_whitespace();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-      return false;
-    }
-    bool ok = false;
-    switch (text_[pos_]) {
-      case '{': ok = parse_object(out); break;
-      case '[': ok = parse_array(out); break;
-      case '"':
-        out.kind = JsonValue::Kind::kString;
-        ok = parse_string(out.string);
-        break;
-      case 't':
-      case 'f': ok = parse_literal(out); break;
-      case 'n': ok = parse_literal(out); break;
-      default: ok = parse_number(out); break;
-    }
-    --depth_;
-    return ok;
-  }
-
-  [[nodiscard]] bool parse_literal(JsonValue& out) {
-    const auto match = [&](std::string_view word) {
-      if (text_.substr(pos_, word.size()) != word) return false;
-      pos_ += word.size();
-      return true;
-    };
-    if (match("true")) {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      return true;
-    }
-    if (match("false")) {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      return true;
-    }
-    if (match("null")) {
-      out.kind = JsonValue::Kind::kNull;
-      return true;
-    }
-    fail("invalid literal");
-    return false;
-  }
-
-  [[nodiscard]] bool parse_number(JsonValue& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("invalid number");
-      return false;
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
-      fail("invalid number '" + token + "'");
-      return false;
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    out.number = value;
-    return true;
-  }
-
-  [[nodiscard]] bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            fail("truncated \\u escape");
-            return false;
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("invalid \\u escape");
-              return false;
-            }
-          }
-          if (code > 0x7F) {
-            fail("\\u escape beyond ASCII is not supported");
-            return false;
-          }
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          fail("invalid escape");
-          return false;
-      }
-    }
-    fail("unterminated string");
-    return false;
-  }
-
-  [[nodiscard]] bool parse_array(JsonValue& out) {
-    if (!consume('[')) return false;
-    out.kind = JsonValue::Kind::kArray;
-    skip_whitespace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue element;
-      if (!parse_value(element)) return false;
-      out.array.push_back(std::move(element));
-      skip_whitespace();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return consume(']');
-    }
-  }
-
-  [[nodiscard]] bool parse_object(JsonValue& out) {
-    if (!consume('{')) return false;
-    out.kind = JsonValue::Kind::kObject;
-    skip_whitespace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_whitespace();
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_whitespace();
-      if (!consume(':')) return false;
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.object[std::move(key)] = std::move(value);
-      skip_whitespace();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return consume('}');
-    }
-  }
-
-  static constexpr int kMaxDepth = 32;
-  std::string_view text_;
-  std::string* error_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
+/// The device models a scenario may name — exactly these three, with no
+/// fallback for an unknown name.
+[[nodiscard]] std::optional<hm::slambench::DeviceModel> scenario_device(
+    const std::string& name) {
+  if (name == "odroid") return hm::slambench::odroid_xu3();
+  if (name == "asus") return hm::slambench::asus_t200ta();
+  if (name == "nvidia") return hm::slambench::nvidia_gtx780ti();
+  return std::nullopt;
+}
 
 /// Scenario-decode helpers: every failure path sets `error` exactly once.
 [[nodiscard]] bool get_number(const JsonValue& object, const std::string& key,
@@ -325,6 +122,13 @@ class JsonParser {
       *error = "integer parameter '" + name->string + "' needs lo <= hi";
       return false;
     }
+    // Beyond 2^53 a double no longer holds every integer, and the int64
+    // cast below would be undefined past 2^63.
+    if (std::fabs(lo) > kMaxExactInteger || std::fabs(hi) > kMaxExactInteger) {
+      *error = "integer parameter '" + name->string +
+               "' needs bounds within +-2^53";
+      return false;
+    }
     space->add(Parameter::integer_range(name->string,
                                         static_cast<std::int64_t>(lo),
                                         static_cast<std::int64_t>(hi)));
@@ -342,6 +146,11 @@ class JsonParser {
     for (const JsonValue& entry : values->array) {
       if (entry.kind != JsonValue::Kind::kNumber) {
         *error = "ordinal values must be numbers";
+        return false;
+      }
+      if (!list.empty() && !(list.back() < entry.number)) {
+        *error = "ordinal parameter '" + name->string +
+                 "' needs strictly increasing values";
         return false;
       }
       list.push_back(entry.number);
@@ -388,6 +197,72 @@ class JsonParser {
   }
   *error = "unknown parameter kind '" + kind->string + "'";
   return false;
+}
+
+[[nodiscard]] bool get_string(const JsonValue& object, const std::string& key,
+                              std::string* out, std::string* error) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) return true;  // Optional key; keep the default.
+  if (value->kind != JsonValue::Kind::kString) {
+    *error = "'" + key + "' must be a string";
+    return false;
+  }
+  *out = value->string;
+  return true;
+}
+
+/// Decodes the optional "evaluator" object into `scenario`: the kind, the
+/// failure/hang injection knobs, and a SLAM kind's device and frame count.
+[[nodiscard]] bool parse_evaluator(const JsonValue* evaluator,
+                                   Scenario* scenario, std::string* error) {
+  JsonValue absent;
+  absent.kind = JsonValue::Kind::kObject;
+  const JsonValue& spec = evaluator != nullptr ? *evaluator : absent;
+  if (spec.kind != JsonValue::Kind::kObject) {
+    *error = "'evaluator' must be an object";
+    return false;
+  }
+  if (!get_string(spec, "kind", &scenario->evaluator_kind, error)) {
+    return false;
+  }
+  const std::string& name = scenario->evaluator_kind;
+  const bool slam = is_slam_kind(name);
+  if (!slam && name != "grid" && name != "synthetic") {
+    *error = "unknown evaluator kind '" + name + "'";
+    return false;
+  }
+  if (!slam && (spec.find("device") != nullptr ||
+                spec.find("frames") != nullptr)) {
+    *error = "'device' and 'frames' apply only to the kfusion and "
+             "elasticfusion evaluators";
+    return false;
+  }
+  if (slam) {
+    // The defaults of the paper's two campaigns (Fig. 3, Table I).
+    const bool ef = name == "elasticfusion";
+    scenario->device = ef ? "nvidia" : "odroid";
+    scenario->frames = ef ? 40 : 30;
+  }
+  if (!get_u64(spec, "fail_modulo", &scenario->fail_modulo, error) ||
+      !get_u64(spec, "fail_remainder", &scenario->fail_remainder, error) ||
+      !get_u64(spec, "hang_modulo", &scenario->hang_modulo, error) ||
+      !get_u64(spec, "hang_remainder", &scenario->hang_remainder, error) ||
+      !get_number(spec, "hang_seconds", &scenario->hang_seconds, error) ||
+      !get_string(spec, "device", &scenario->device, error) ||
+      !get_count(spec, "frames", &scenario->frames, error)) {
+    return false;
+  }
+  if (slam && !scenario_device(scenario->device)) {
+    *error = "unknown device '" + scenario->device +
+             "' (expected odroid, asus or nvidia)";
+    return false;
+  }
+  if (slam && (scenario->frames < kMinFrames || scenario->frames > kMaxFrames)) {
+    *error = "'frames' must be in [" + std::to_string(kMinFrames) + ", " +
+             std::to_string(kMaxFrames) + "]";
+    return false;
+  }
+  return true;
 }
 
 /// The "grid" evaluator: the crash_test problem, generalized to any space.
@@ -497,15 +372,10 @@ class SyntheticEvaluator final : public Evaluator {
 
 }  // namespace
 
-std::optional<JsonValue> parse_json(std::string_view text, std::string* error) {
-  JsonParser parser(text, error);
-  return parser.parse();
-}
-
 std::optional<Scenario> parse_scenario(std::string_view text,
                                        std::string* error) {
   std::string parse_error;
-  const auto document = parse_json(text, &parse_error);
+  const auto document = hm::common::parse_json(text, &parse_error);
   if (!document) {
     if (error != nullptr) *error = "invalid JSON: " + parse_error;
     return std::nullopt;
@@ -528,21 +398,46 @@ std::optional<Scenario> parse_scenario(std::string_view text,
   }
   scenario.name = name->string;
 
-  const JsonValue* space = document->find("space");
-  if (space == nullptr || space->kind != JsonValue::Kind::kArray ||
-      space->array.empty()) {
-    *err = "scenario needs a non-empty 'space' array";
+  // The evaluator comes first: a SLAM kind brings its own space and
+  // objective names.
+  if (!parse_evaluator(document->find("evaluator"), &scenario, err)) {
     return std::nullopt;
   }
-  for (const JsonValue& spec : space->array) {
-    if (!parse_parameter(spec, &scenario.space, err)) return std::nullopt;
+  const bool slam = is_slam_kind(scenario.evaluator_kind);
+  const bool ef = scenario.evaluator_kind == "elasticfusion";
+
+  const JsonValue* space = document->find("space");
+  if (slam) {
+    if (space != nullptr) {
+      *err = "the " + scenario.evaluator_kind +
+             " evaluator has a built-in space; drop 'space'";
+      return std::nullopt;
+    }
+    scenario.space = ef ? hm::slambench::build_elasticfusion_space()
+                        : hm::slambench::build_kfusion_space();
+  } else {
+    if (space == nullptr || space->kind != JsonValue::Kind::kArray ||
+        space->array.empty()) {
+      *err = "scenario needs a non-empty 'space' array";
+      return std::nullopt;
+    }
+    for (const JsonValue& spec : space->array) {
+      if (!parse_parameter(spec, &scenario.space, err)) return std::nullopt;
+    }
   }
 
   scenario.objective_names = {"f0", "f1"};
+  if (slam) {
+    scenario.objective_names = {"runtime_s", ef ? "mean_ate_m" : "max_ate_m"};
+  }
   if (const JsonValue* objectives = document->find("objectives")) {
     if (objectives->kind != JsonValue::Kind::kArray ||
         objectives->array.empty() || objectives->array.size() > 2) {
       *err = "'objectives' must list 1 or 2 names";
+      return std::nullopt;
+    }
+    if (slam && objectives->array.size() != 2) {
+      *err = "the " + scenario.evaluator_kind + " evaluator has 2 objectives";
       return std::nullopt;
     }
     scenario.objective_names.clear();
@@ -587,32 +482,6 @@ std::optional<Scenario> parse_scenario(std::string_view text,
     }
   }
 
-  if (const JsonValue* evaluator = document->find("evaluator")) {
-    if (evaluator->kind != JsonValue::Kind::kObject) {
-      *err = "'evaluator' must be an object";
-      return std::nullopt;
-    }
-    if (const JsonValue* kind = evaluator->find("kind")) {
-      if (kind->kind != JsonValue::Kind::kString) {
-        *err = "evaluator 'kind' must be a string";
-        return std::nullopt;
-      }
-      scenario.evaluator_kind = kind->string;
-    }
-    if (!get_u64(*evaluator, "fail_modulo", &scenario.fail_modulo, err) ||
-        !get_u64(*evaluator, "fail_remainder", &scenario.fail_remainder, err) ||
-        !get_u64(*evaluator, "hang_modulo", &scenario.hang_modulo, err) ||
-        !get_u64(*evaluator, "hang_remainder", &scenario.hang_remainder, err) ||
-        !get_number(*evaluator, "hang_seconds", &scenario.hang_seconds, err)) {
-      return std::nullopt;
-    }
-  }
-  if (scenario.evaluator_kind != "grid" &&
-      scenario.evaluator_kind != "synthetic") {
-    *err = "unknown evaluator kind '" + scenario.evaluator_kind + "'";
-    return std::nullopt;
-  }
-
   if (const JsonValue* sandbox = document->find("sandbox")) {
     if (sandbox->kind != JsonValue::Kind::kBool) {
       *err = "'sandbox' must be a boolean";
@@ -648,7 +517,19 @@ std::unique_ptr<hm::hypermapper::Evaluator> make_scenario_evaluator(
   if (scenario.evaluator_kind == "synthetic") {
     return std::make_unique<SyntheticEvaluator>(scenario.space, scenario);
   }
-  return nullptr;
+  const auto device = scenario_device(scenario.device);
+  if (!is_slam_kind(scenario.evaluator_kind) || !device ||
+      scenario.frames < kMinFrames || scenario.frames > kMaxFrames) {
+    return nullptr;
+  }
+  const bool ef = scenario.evaluator_kind == "elasticfusion";
+  const auto sequence = hm::dataset::make_benchmark_sequence(
+      scenario.frames, 80, 60, nullptr, /*with_intensity=*/ef);
+  if (ef) {
+    return std::make_unique<hm::slambench::ElasticFusionEvaluator>(sequence,
+                                                                   *device);
+  }
+  return std::make_unique<hm::slambench::KFusionEvaluator>(sequence, *device);
 }
 
 }  // namespace hm::serve

@@ -1,18 +1,14 @@
 // A *scenario* is the serialized form of one tuning campaign: design space,
 // optimizer budget, seed, objective names, and which evaluator to run —
-// everything hm_serve needs to open (or re-open, after a crash) a campaign
-// from bytes alone. The wire format is a small JSON object; a sidecar copy
-// of the submitted text is persisted next to the campaign's journal so
-// restart recovery can rebuild the campaign without the client.
-//
-// The JSON reader here is deliberately minimal (objects, arrays, strings,
-// numbers, booleans, null — no escapes beyond \" \\ \/ \n \t \r \b \f and
-// \uXXXX for ASCII) and self-contained: the repo takes no dependencies.
+// everything needed to open (or re-open, after a crash) a campaign from
+// bytes alone, whether hm_serve hosts it or hm_tune runs it in-process. A
+// sidecar copy of the submitted text is persisted next to the campaign's
+// journal so recovery can rebuild the campaign without the client. The
+// JSON reader is the repo's shared one (common/json.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,35 +21,6 @@
 
 namespace hm::serve {
 
-/// A parsed JSON value. Object keys keep submission order irrelevant
-/// (std::map), which also makes error messages deterministic.
-struct JsonValue {
-  enum class Kind : std::uint8_t {
-    kNull,
-    kBool,
-    kNumber,
-    kString,
-    kArray,
-    kObject
-  };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-/// Parses one complete JSON document; trailing non-whitespace is an error.
-/// Returns nullopt with `error` describing the first failure.
-[[nodiscard]] std::optional<JsonValue> parse_json(std::string_view text,
-                                                  std::string* error);
-
 /// One campaign description, decoded and validated.
 struct Scenario {
   std::string name;  ///< Campaign id; unique among active campaigns.
@@ -61,8 +28,13 @@ struct Scenario {
   hm::hypermapper::DesignSpace space;
   hm::hypermapper::OptimizerConfig config;
   std::vector<std::string> objective_names;
-  /// Built-in evaluator selector ("grid" or "synthetic") plus its knobs.
+  /// Built-in evaluator selector ("grid", "synthetic", "kfusion" or
+  /// "elasticfusion") plus its knobs.
   std::string evaluator_kind = "grid";
+  /// SLAM kinds only: the device cost model ("odroid", "asus" or "nvidia")
+  /// and the length of the rendered benchmark sequence.
+  std::string device;
+  std::size_t frames = 0;
   /// Failure injection: keys with key % fail_modulo == fail_remainder throw
   /// a permanent EvaluationError. fail_modulo == 0 disables.
   std::uint64_t fail_modulo = 0;
@@ -90,8 +62,9 @@ struct Scenario {
 ///     "seed": 77,
 ///     "objectives": ["f0", "f1"],           // 1 or 2 names
 ///     "space": [                            // required, >= 1 parameter
-///       {"kind": "integer", "name": "x", "lo": 0, "hi": 39},
-///       {"kind": "ordinal", "name": "r", "values": [1, 2, 4], "log": true},
+///       {"kind": "integer", "name": "x", "lo": 0, "hi": 39}, // |lo|,|hi| <= 2^53
+///       {"kind": "ordinal", "name": "r", "values": [1, 2, 4], // increasing
+///        "log": true},
 ///       {"kind": "boolean", "name": "b"},
 ///       {"kind": "categorical", "name": "c", "labels": ["lo", "hi"]},
 ///       {"kind": "real", "name": "t", "lo": 0.0, "hi": 1.0}
@@ -107,14 +80,23 @@ struct Scenario {
 ///     "deadlines": {"eval_seconds": 0.0,
 ///                   "campaign_seconds": 0.0} // optional
 ///   }
+///
+/// The SLAM kinds run the paper's pipelines over their built-in spaces
+/// (DESIGN.md §6; "space" is rejected), with objectives defaulting to
+/// runtime_s + max_ate_m (kfusion) or mean_ate_m (elasticfusion):
+///
+///     "evaluator": {"kind": "kfusion", "device": "odroid", "frames": 30}
+///     // device odroid|asus|nvidia (default odroid; nvidia for
+///     // elasticfusion), frames 2..1000 (default 30; 40 for elasticfusion)
 [[nodiscard]] std::optional<Scenario> parse_scenario(std::string_view text,
                                                      std::string* error);
 
 /// Instantiates the scenario's built-in evaluator. Deterministic: the same
 /// scenario text always produces the same objective function, which is what
 /// makes a recovered campaign's report byte-identical to an uninterrupted
-/// one. The evaluator references `scenario.space` — the scenario must stay
-/// alive (and unmoved) while it runs. Returns nullptr for an unknown kind.
+/// one. The SLAM kinds render their benchmark sequence here. The evaluator
+/// may reference `scenario.space` — the scenario must stay alive (and
+/// unmoved) while it runs. Returns nullptr for an unknown kind or device.
 [[nodiscard]] std::unique_ptr<hm::hypermapper::Evaluator>
 make_scenario_evaluator(const Scenario& scenario);
 

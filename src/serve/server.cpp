@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/flight_recorder.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/signal.hpp"
@@ -83,6 +84,10 @@ bool Server::start(std::string* error) {
       *error = "cannot create journal dir " + config_.journal_dir + ": " +
                ec.message();
     }
+    return false;
+  }
+  if (config_.http_port > 65535) {
+    if (error != nullptr) *error = "http port out of range";
     return false;
   }
   if (!make_wake_pipe(wake_fds_)) {

@@ -7,6 +7,8 @@
 #include <limits>
 #include <string>
 
+#include "common/json.hpp"
+
 namespace hm::common {
 namespace {
 

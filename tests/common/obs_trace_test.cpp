@@ -2,14 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 
 namespace hm::common {
@@ -29,173 +28,6 @@ class TraceGuard {
     set_trace_request_only(false);
     clear_trace();
   }
-};
-
-// --- Minimal JSON parser for round-trip validation -----------------------
-//
-// Just enough JSON to re-parse the Chrome trace export: objects, arrays,
-// strings (with escapes), numbers, and the three literals. The point of the
-// test is that the writer emits *well-formed* JSON, so the parser is strict
-// about structure and fails loudly on anything it cannot place.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  /// Parses one complete document; returns false on any malformation,
-  /// including trailing garbage.
-  bool parse(JsonValue& out) {
-    if (!value(out)) return false;
-    skip_space();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_space();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char escaped = text_[pos_++];
-        switch (escaped) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            for (int i = 0; i < 4; ++i) {
-              if (!std::isxdigit(static_cast<unsigned char>(text_[pos_ + i]))) {
-                return false;
-              }
-            }
-            pos_ += 4;
-            out.push_back('?');  // Code point is irrelevant to the tests.
-            break;
-          }
-          default: return false;
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false;  // Raw control characters must be escaped.
-      } else {
-        out.push_back(c);
-      }
-    }
-    return false;  // Unterminated.
-  }
-
-  bool number(double& out) {
-    skip_space();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    try {
-      out = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (...) {
-      return false;
-    }
-    return true;
-  }
-
-  bool value(JsonValue& out) {
-    skip_space();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kObject;
-      skip_space();
-      if (consume('}')) return true;
-      while (true) {
-        std::string key;
-        if (!string(key) || !consume(':')) return false;
-        JsonValue member;
-        if (!value(member)) return false;
-        out.object.emplace(std::move(key), std::move(member));
-        if (consume(',')) continue;
-        return consume('}');
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kArray;
-      skip_space();
-      if (consume(']')) return true;
-      while (true) {
-        JsonValue element;
-        if (!value(element)) return false;
-        out.array.push_back(std::move(element));
-        if (consume(',')) continue;
-        return consume(']');
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string(out.string);
-    }
-    if (c == 't') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      return literal("true");
-    }
-    if (c == 'f') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      return literal("false");
-    }
-    if (c == 'n') {
-      out.kind = JsonValue::Kind::kNull;
-      return literal("null");
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    return number(out.number);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
 };
 
 /// Asserts the Chrome-trace structural contract on a parsed document and
@@ -337,9 +169,10 @@ TEST(Trace, CompiledOutSpansAreNoOps) {
 
 TEST(ChromeTraceJson, EmptyTraceParses) {
   const std::string json = chrome_trace_json(std::vector<TraceEvent>{});
-  JsonValue document;
-  ASSERT_TRUE(JsonParser(json).parse(document)) << json;
-  EXPECT_TRUE(require_trace_shape(document).empty());
+  std::string error;
+  const auto document = parse_json(json, &error);
+  ASSERT_TRUE(document.has_value()) << error << "\n" << json;
+  EXPECT_TRUE(require_trace_shape(*document).empty());
 }
 
 TEST(ChromeTraceJson, RoundTripPreservesEvents) {
@@ -348,9 +181,10 @@ TEST(ChromeTraceJson, RoundTripPreservesEvents) {
   events.push_back({"beta \"quoted\"\\slash", "cat_b", 3, 4'000'000, 1});
   const std::string json = chrome_trace_json(events);
 
-  JsonValue document;
-  ASSERT_TRUE(JsonParser(json).parse(document)) << json;
-  const auto& parsed = require_trace_shape(document);
+  std::string error;
+  const auto document = parse_json(json, &error);
+  ASSERT_TRUE(document.has_value()) << error << "\n" << json;
+  const auto& parsed = require_trace_shape(*document);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0].object.at("name").string, "alpha");
   EXPECT_EQ(parsed[0].object.at("cat").string, "cat_a");
@@ -388,9 +222,10 @@ TEST(ChromeTraceJson, WriteChromeTraceProducesParsableFile) {
   }
   std::remove(path.c_str());
 
-  JsonValue document;
-  ASSERT_TRUE(JsonParser(content).parse(document)) << content;
-  const auto& events = require_trace_shape(document);
+  std::string error;
+  const auto document = parse_json(content, &error);
+  ASSERT_TRUE(document.has_value()) << error << "\n" << content;
+  const auto& events = require_trace_shape(*document);
   ASSERT_EQ(events.size(), 2u);
   // Nested spans: sorted by start, the outer span starts first and fully
   // contains the inner one.
@@ -580,9 +415,10 @@ TEST(ChromeTraceJson, RemoteEventsCarryPidAndTraceIdArgs) {
   events.push_back({"plain", "serve", 4242, 1, 5'000, 1'000, 0});
   const std::string json = chrome_trace_json(events);
 
-  JsonValue document;
-  ASSERT_TRUE(JsonParser(json).parse(document)) << json;
-  const auto& parsed = require_trace_shape(document);
+  std::string error;
+  const auto document = parse_json(json, &error);
+  ASSERT_TRUE(document.has_value()) << error << "\n" << json;
+  const auto& parsed = require_trace_shape(*document);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0].object.at("pid").number, 4242.0);
   ASSERT_TRUE(parsed[0].object.count("args"));

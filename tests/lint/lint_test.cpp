@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,6 +56,11 @@ struct RuleFixtureCase {
                               ///< header-only rules).
   const char* extension;
 };
+
+// Without this, gtest prints the case as raw bytes, which here are string
+// pointers: the listed test names would then change with every process
+// (address-space randomization) and could not be tracked across runs.
+void PrintTo(const RuleFixtureCase& c, std::ostream* os) { *os << c.rule_id; }
 
 class RuleFixtureTest : public ::testing::TestWithParam<RuleFixtureCase> {};
 

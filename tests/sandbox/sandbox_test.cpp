@@ -18,6 +18,7 @@
 #include <ctime>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -26,6 +27,7 @@
 #include "common/checkpoint.hpp"
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
+#include "common/trace.hpp"
 #include "hypermapper/optimizer.hpp"
 #include "hypermapper/resilient_evaluator.hpp"
 #include "sandbox/sandbox.hpp"
@@ -385,6 +387,34 @@ TEST(SandboxMetricsTest, ChildCounterDeltasAreFoldedIntoTheParent) {
   (void)sandboxed.evaluate({2.0});
   EXPECT_EQ(counter.value(), before + 6);
 }
+
+#if HM_TRACE_ENABLED
+
+TEST(SandboxTraceTest, WorkerSpanNamesOutliveTheEvaluator) {
+  // A settled serve campaign destroys its sandbox before the trace is
+  // written; the recorded spans must still name their worker.
+  hm::common::set_trace_enabled(false);
+  hm::common::clear_trace();
+  hm::common::set_trace_enabled(true);
+  {
+    GridEvaluator inner;
+    SandboxedEvaluator sandboxed(inner, SandboxPolicy{});
+    (void)sandboxed.evaluate({0.5, 1.0});
+  }
+  // Reuse the freed heap, so a dangling name would read as garbage.
+  const std::vector<std::string> churn(64, std::string(40, 'x'));
+  std::size_t worker_spans = 0;
+  for (const hm::common::TraceEvent& event : hm::common::trace_snapshot()) {
+    if (std::string_view(event.category) != "sandbox") continue;
+    EXPECT_STREQ(event.name, "sandbox_worker_0");
+    ++worker_spans;
+  }
+  hm::common::set_trace_enabled(false);
+  hm::common::clear_trace();
+  EXPECT_EQ(worker_spans, 1u);
+}
+
+#endif  // HM_TRACE_ENABLED
 
 TEST(SandboxCampaignTest, OptimizerCompletesOverACrashingDesignSpace) {
   using hm::hypermapper::DesignSpace;

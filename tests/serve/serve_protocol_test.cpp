@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "sandbox/protocol.hpp"
 #include "hypermapper/resilient_evaluator.hpp"
 #include "serve/scenario.hpp"
+#include "slambench/adapters.hpp"
 
 namespace hm::serve {
 namespace {
@@ -244,9 +247,12 @@ TEST(ServeScenario, FullScenarioParsesEveryField) {
 TEST(ServeScenario, RejectsMalformedDocuments) {
   const std::string space =
       R"("space": [{"kind": "integer", "name": "x", "lo": 0, "hi": 3}])";
+  // `reason`, when set, must appear in the error: a document rejected for
+  // some other reason does not prove the check it names.
   const struct {
     const char* label;
     std::string text;
+    const char* reason = nullptr;
   } cases[] = {
       {"unterminated JSON", R"({"name": "a", )" + space},
       {"trailing bytes", R"({"name": "a", )" + space + R"(} extra)"},
@@ -264,12 +270,113 @@ TEST(ServeScenario, RejectsMalformedDocuments) {
        R"({"name": "a", "objectives": ["a", "b", "c"], )" + space + R"(})"},
       {"zero random samples",
        R"({"name": "a", "budget": {"random_samples": 0}, )" + space + R"(})"},
+      {"unsorted ordinal values",
+       R"({"name": "a", "space": [)"
+       R"({"kind": "ordinal", "name": "r", "values": [4, 1, 2]}]})",
+       "strictly increasing"},
+      {"duplicate ordinal values",
+       R"({"name": "a", "space": [)"
+       R"({"kind": "ordinal", "name": "r", "values": [1, 2, 2]}]})",
+       "strictly increasing"},
+      {"integer upper bound beyond 2^53",
+       R"({"name": "a", "space": [)"
+       R"({"kind": "integer", "name": "x", "lo": 0, "hi": 1e300}]})",
+       "2^53"},
+      {"integer lower bound beyond -2^53",
+       R"({"name": "a", "space": [)"
+       R"({"kind": "integer", "name": "x", "lo": -1e17, "hi": 0}]})",
+       "2^53"},
+      {"raw control byte in a string",
+       "{\"name\": \"a\", \"space\": [{\"kind\": \"categorical\", "
+       "\"name\": \"c\", \"labels\": [\"lo\nhi\"]}]}",
+       "raw control byte"},
+      {"space given with kfusion",
+       R"({"name": "a", "evaluator": {"kind": "kfusion"}, )" + space + R"(})",
+       "built-in space"},
+      {"unknown device",
+       R"({"name": "a", "evaluator": {"kind": "kfusion", "device": "pixel"}})",
+       "unknown device"},
+      {"frames below range",
+       R"({"name": "a", "evaluator": {"kind": "elasticfusion", "frames": 1}})",
+       "'frames' must be in"},
+      {"frames above range",
+       R"({"name": "a", "evaluator": {"kind": "kfusion", "frames": 1001}})",
+       "'frames' must be in"},
+      {"frames with the grid evaluator",
+       R"({"name": "a", "evaluator": {"kind": "grid", "frames": 4}, )" +
+           space + R"(})",
+       "apply only to"},
+      {"one objective for kfusion",
+       R"({"name": "a", "objectives": ["t"], "evaluator": {"kind": "kfusion"}})",
+       "2 objectives"},
   };
   for (const auto& bad : cases) {
     SCOPED_TRACE(bad.label);
     std::string error;
     EXPECT_FALSE(parse_scenario(bad.text, &error).has_value());
     EXPECT_FALSE(error.empty());
+    if (bad.reason != nullptr) {
+      EXPECT_NE(error.find(bad.reason), std::string::npos) << error;
+    }
+  }
+}
+
+TEST(ServeScenario, SlamKindsUseTheBuiltInSpacesAndPaperDefaults) {
+  std::string error;
+  const auto kfusion = parse_scenario(
+      R"({"name": "kf", "evaluator": {"kind": "kfusion"}})", &error);
+  ASSERT_TRUE(kfusion.has_value()) << error;
+  EXPECT_EQ(kfusion->space.cardinality(),
+            hm::slambench::build_kfusion_space().cardinality());
+  EXPECT_EQ(kfusion->objective_names,
+            (std::vector<std::string>{"runtime_s", "max_ate_m"}));
+  EXPECT_EQ(kfusion->device, "odroid");
+  EXPECT_EQ(kfusion->frames, 30u);
+
+  const auto ef = parse_scenario(
+      R"({"name": "ef", "evaluator": {"kind": "elasticfusion", )"
+      R"("device": "asus", "frames": 400}})",
+      &error);
+  ASSERT_TRUE(ef.has_value()) << error;
+  EXPECT_EQ(ef->space.cardinality(),
+            hm::slambench::build_elasticfusion_space().cardinality());
+  EXPECT_EQ(ef->objective_names,
+            (std::vector<std::string>{"runtime_s", "mean_ate_m"}));
+  EXPECT_EQ(ef->device, "asus");
+  EXPECT_EQ(ef->frames, 400u);
+}
+
+TEST(ServeScenario, CheckedInScenariosCarryThePaperCampaignBudgets) {
+  const struct {
+    const char* file;
+    const char* kind;
+    const char* device;
+    std::size_t frames;
+    std::size_t random_samples;
+    std::size_t max_samples_per_iteration;
+  } expected[] = {
+      {"kfusion_odroid.json", "kfusion", "odroid", 30, 80, 50},
+      {"elasticfusion_gtx780ti.json", "elasticfusion", "nvidia", 40, 100, 60},
+  };
+  for (const auto& want : expected) {
+    SCOPED_TRACE(want.file);
+    std::ifstream in(std::string(HM_SCENARIO_DIR) + "/" + want.file);
+    ASSERT_TRUE(in.good());
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::string error;
+    const auto scenario = parse_scenario(text, &error);
+    ASSERT_TRUE(scenario.has_value()) << error;
+    EXPECT_EQ(scenario->evaluator_kind, want.kind);
+    EXPECT_EQ(scenario->device, want.device);
+    EXPECT_EQ(scenario->frames, want.frames);
+    EXPECT_EQ(scenario->config.seed, 42u);
+    EXPECT_EQ(scenario->config.random_samples, want.random_samples);
+    EXPECT_EQ(scenario->config.max_iterations, 3u);
+    EXPECT_EQ(scenario->config.max_samples_per_iteration,
+              want.max_samples_per_iteration);
+    EXPECT_EQ(scenario->config.pool_size, 20000u);
+    EXPECT_EQ(scenario->config.forest.tree_count, 48u);
   }
 }
 

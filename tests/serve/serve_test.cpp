@@ -4,7 +4,8 @@
 // Covered contracts, each matching DESIGN.md §11:
 //   - a submitted campaign runs to a report byte-identical to a plain
 //     synchronous in-process run (the batch-async + thread-pool path adds
-//     no divergence);
+//     no divergence), and a served KFusion campaign to the report of a
+//     local Campaign run, which a park + recover also reproduces;
 //   - overload is shed with a *typed* busy reply and zero leaked campaigns
 //     (this binary also runs under ThreadSanitizer via scripts/tsan.sh);
 //   - a client that vanishes without `bye`, or stalls mid-frame against the
@@ -111,6 +112,52 @@ TEST(ServeServer, SubmittedCampaignReportMatchesADirectRunByteForByte) {
   EXPECT_EQ(ts.server->done_count(), 1u);
   EXPECT_EQ(ts.server->parked_count(), 0u);
   EXPECT_EQ(ts.server->shed_count(), 0u);
+}
+
+TEST(ServeServer, ServedKFusionReportMatchesALocalCampaignRun) {
+  const std::string scenario = testutil::tiny_kfusion_scenario("kf-tiny");
+  const auto local = testutil::open_local_campaign(
+      ::testing::TempDir() + "serve_test_kf_local", scenario);
+  ASSERT_NE(local, nullptr);
+  testutil::drive_campaign(*local);
+  ASSERT_EQ(local->state(), Campaign::State::kDone);
+  ASSERT_FALSE(local->report().empty());
+
+  TestServer ts("kf_served");
+  ASSERT_TRUE(ts.start());
+  std::string error;
+  auto client = Client::connect_port(ts.port(), 5.0, &error);
+  ASSERT_TRUE(client.has_value()) << error;
+  const ClientResult result = client->run_scenario(scenario, 60.0);
+  ASSERT_EQ(result.status, ClientResult::Status::kReport) << result.message;
+  EXPECT_EQ(result.report, local->report());
+  ts.stop_and_join();
+  EXPECT_EQ(ts.exit_code, 0);
+}
+
+TEST(ServeServer, ParkedKFusionCampaignRecoversToTheUninterruptedReport) {
+  const std::string scenario = testutil::tiny_kfusion_scenario("kf-park");
+  const auto uninterrupted = testutil::open_local_campaign(
+      ::testing::TempDir() + "serve_test_kf_whole", scenario);
+  ASSERT_NE(uninterrupted, nullptr);
+  testutil::drive_campaign(*uninterrupted);
+  ASSERT_EQ(uninterrupted->state(), Campaign::State::kDone);
+
+  const std::string dir = ::testing::TempDir() + "serve_test_kf_parked";
+  {
+    const auto first = testutil::open_local_campaign(dir, scenario);
+    ASSERT_NE(first, nullptr);
+    testutil::drive_campaign(*first, 1);  // The random bootstrap batch.
+    ASSERT_EQ(first->state(), Campaign::State::kRunning);
+    first->park("test");
+    ASSERT_EQ(first->state(), Campaign::State::kParked);
+  }
+  std::string error;
+  const auto recovered = Campaign::recover(dir, "kf-park", &error);
+  ASSERT_NE(recovered, nullptr) << error;
+  testutil::drive_campaign(*recovered);
+  ASSERT_EQ(recovered->state(), Campaign::State::kDone);
+  EXPECT_EQ(recovered->report(), uninterrupted->report());
 }
 
 TEST(ServeServer, FinishedCampaignReportIsCachedForLaterClients) {

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -138,6 +141,47 @@ struct RawClient {
   const hm::hypermapper::OptimizationResult result = optimizer.run();
   return Campaign::render_report(scenario->space, result,
                                  scenario->objective_names);
+}
+
+/// A KFusion scenario small enough for the sanitizer jobs: 4 rendered
+/// frames, 6 random samples and one active-learning iteration of 4.
+[[nodiscard]] inline std::string tiny_kfusion_scenario(
+    const std::string& name) {
+  return "{\"name\": \"" + name +
+         "\", \"seed\": 5, "
+         "\"evaluator\": {\"kind\": \"kfusion\", \"device\": \"odroid\", "
+         "\"frames\": 4}, "
+         "\"budget\": {\"random_samples\": 6, \"max_iterations\": 1, "
+         "\"max_samples_per_iteration\": 4, \"pool_size\": 200, "
+         "\"tree_count\": 4}}";
+}
+
+/// Drives a campaign the way hm_tune does in-process (pump, evaluate the
+/// batch, deliver in slot order), serially, for at most `max_batches`
+/// batches or until it settles.
+inline void drive_campaign(Campaign& campaign,
+                           std::size_t max_batches = SIZE_MAX) {
+  for (std::size_t n = 0; n < max_batches; ++n) {
+    const std::vector<Campaign::Dispatch> batch = campaign.pump();
+    if (batch.empty()) return;
+    for (const Campaign::Dispatch& dispatch : batch) {
+      campaign.deliver(dispatch.slot, campaign.evaluate(dispatch.config));
+    }
+  }
+}
+
+/// Opens the scenario as a fresh local Campaign journaled in `dir`.
+[[nodiscard]] inline std::unique_ptr<Campaign> open_local_campaign(
+    const std::string& dir, const std::string& scenario_json) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string error;
+  auto scenario = parse_scenario(scenario_json, &error);
+  EXPECT_TRUE(scenario.has_value()) << error;
+  if (!scenario) return nullptr;
+  auto campaign = Campaign::open(dir, std::move(*scenario), &error);
+  EXPECT_NE(campaign, nullptr) << error;
+  return campaign;
 }
 
 /// Resumes `id` until the campaign lands on a final report. A resume that

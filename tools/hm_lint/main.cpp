@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "common/atomic_file.hpp"
-#include "common/metrics.hpp"
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "hm_lint/baseline.hpp"
 #include "hm_lint/index_rules.hpp"
