@@ -22,6 +22,7 @@
 #include "bench/bench_common.hpp"
 #include "common/atomic_file.hpp"
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -206,15 +207,6 @@ BENCHMARK(BM_ForestPredictPool)->Unit(benchmark::kMillisecond);
 
 using kfusion::KernelPath;
 
-/// snprintf into a std::string; the JSON report is assembled in memory and
-/// written through the atomic writer in one shot.
-template <typename... Args>
-std::string jsonf(const char* format, Args... args) {
-  char buffer[256];
-  const int len = std::snprintf(buffer, sizeof(buffer), format, args...);
-  return std::string(buffer, static_cast<std::size_t>(len));
-}
-
 /// Minimum wall time over `repeats` calls — the least-noise estimator on a
 /// shared machine (any interference only ever adds time).
 template <typename Fn>
@@ -240,14 +232,13 @@ struct SimdRow {
 
 /// Build facts every checked-in result carries, so a baseline can be told
 /// apart from a run on another compiler, flag set or machine.
-std::string provenance_json() {
-  std::string json = "{\"commit\": \"" HM_BENCH_COMMIT "\"";
-  json += ", \"compiler\": \"" HM_BENCH_COMPILER "\"";
-  json += ", \"cxx_flags\": \"" HM_BENCH_CXX_FLAGS "\"";
-  json += std::string(", \"simd_backend\": \"") + simd::backend_name() + "\"";
+void write_provenance(common::JsonWriter& json) {
+  json.begin_object().key("commit").string(HM_BENCH_COMMIT);
+  json.key("compiler").string(HM_BENCH_COMPILER);
+  json.key("cxx_flags").string(HM_BENCH_CXX_FLAGS);
+  json.key("simd_backend").string(simd::backend_name());
   // hm-lint: allow(no-raw-thread) queries hardware_concurrency only; no thread is created
-  json += ", \"nproc\": " + std::to_string(std::thread::hardware_concurrency());
-  return json + "}";
+  json.key("nproc").integer(std::thread::hardware_concurrency()).end_object();
 }
 
 int run_simd_comparison(const common::CliArgs& args) {
@@ -344,29 +335,32 @@ int run_simd_comparison(const common::CliArgs& args) {
     if (row.speedup() >= 2.0) ++at_least_2x;
   }
   std::printf("  %-16s %12.3f\n\n", "raycast", raycast_seconds * 1e3);
-  hm::bench::report("kernels at >= 2.0x SIMD speedup", ">= 3 of 3 (acceptance)",
-                    jsonf("%zu of %zu", at_least_2x, rows.size()));
+  hm::bench::report(
+      "kernels at >= 2.0x SIMD speedup", ">= 3 of 3 (acceptance)",
+      std::to_string(at_least_2x) + " of " + std::to_string(rows.size()));
 
-  std::string json = "{\n  \"bench\": \"micro_kernels_simd\",\n";
-  json += "  \"provenance\": " + provenance_json() + ",\n";
-  json += jsonf("  \"backend\": \"%s\",\n", simd::backend_name());
-  json += jsonf("  \"width\": %d,\n", simd::kWidth);
-  json += jsonf("  \"frame\": {\"width\": %d, \"height\": %d},\n", camera.width,
-                camera.height);
-  json += jsonf("  \"volume_resolution\": %d,\n", kResolution);
-  json += jsonf("  \"repeats\": %zu,\n", repeats);
-  json += "  \"results\": [\n";
+  common::JsonWriter json;
+  json.begin_object().key("bench").string("micro_kernels_simd");
+  json.key("provenance");
+  write_provenance(json);
+  json.key("backend").string(simd::backend_name());
+  json.key("width").integer(simd::kWidth);
+  json.key("frame").begin_object().key("width").integer(camera.width);
+  json.key("height").integer(camera.height).end_object();
+  json.key("volume_resolution").integer(kResolution);
+  json.key("repeats").integer(repeats);
+  json.key("results").begin_array();
   for (const SimdRow& row : rows) {
-    json += jsonf(
-        "    {\"kernel\": \"%s\", \"scalar_seconds\": %.6f, "
-        "\"simd_seconds\": %.6f, \"speedup\": %.4f},\n",
-        row.kernel, row.scalar_seconds, row.simd_seconds, row.speedup());
+    json.begin_object().key("kernel").string(row.kernel);
+    json.key("scalar_seconds").number(row.scalar_seconds);
+    json.key("simd_seconds").number(row.simd_seconds);
+    json.key("speedup").number(row.speedup()).end_object();
   }
-  json += jsonf("    {\"kernel\": \"raycast\", \"seconds\": %.6f}\n",
-                raycast_seconds);
-  json += "  ]\n}\n";
+  json.begin_object().key("kernel").string("raycast");
+  json.key("seconds").number(raycast_seconds).end_object();
+  json.end_array().end_object();
   std::string error;
-  if (!hm::common::write_file_atomic(out, json, &error)) {
+  if (!hm::common::write_file_atomic(out, json.str(), &error)) {
     hm::common::log_error() << "failed to write " << out << ": " << error;
     return 1;
   }

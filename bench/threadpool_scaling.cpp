@@ -24,6 +24,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
@@ -33,15 +34,6 @@ namespace {
 
 using hm::common::SchedulerStats;
 using hm::common::ThreadPool;
-
-/// snprintf into a std::string; the JSON report is assembled in memory and
-/// written through the atomic writer in one shot.
-template <typename... Args>
-std::string jsonf(const char* format, Args... args) {
-  char buffer[256];
-  const int len = std::snprintf(buffer, sizeof(buffer), format, args...);
-  return std::string(buffer, static_cast<std::size_t>(len));
-}
 
 /// Work skew of the synthetic batch: one dominant configuration plus a tail,
 /// the regime where nested parallelism pays (the dominant config's inner
@@ -182,31 +174,27 @@ int main(int argc, char** argv) {
         "acceptance criterion does not apply on this machine)\n");
   }
 
-  std::string json = "{\n  \"bench\": \"threadpool_scaling\",\n";
-  json += jsonf("  \"outer_batch\": %zu,\n", kOuterBatch);
-  json += "  \"config_weights\": [";
-  for (std::size_t i = 0; i < kOuterBatch; ++i) {
-    json += jsonf("%s%zu", i == 0 ? "" : ", ", kWeights[i]);
+  hm::common::JsonWriter json;
+  json.begin_object().key("bench").string("threadpool_scaling");
+  json.key("outer_batch").integer(kOuterBatch);
+  json.key("config_weights").begin_array();
+  for (const std::size_t weight : kWeights) json.integer(weight);
+  json.end_array().key("hardware_threads").integer(hardware);
+  json.key("results").begin_array();
+  for (const Row& row : rows) {
+    json.begin_object().key("threads").integer(row.threads);
+    json.key("serial_inner_seconds").number(row.serial_inner_seconds);
+    json.key("nested_seconds").number(row.nested_seconds);
+    json.key("speedup").number(row.speedup);
+    json.key("tasks_executed").integer(row.nested_stats.tasks_executed);
+    json.key("steals").integer(row.nested_stats.steals);
+    json.key("help_joins").integer(row.nested_stats.help_joins);
+    json.key("parallel_regions").integer(row.nested_stats.parallel_regions);
+    json.end_object();
   }
-  json += jsonf("],\n  \"hardware_threads\": %zu,\n  \"results\": [\n",
-                         hardware);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    json += jsonf(
-        "    {\"threads\": %zu, \"serial_inner_seconds\": %.6f, "
-        "\"nested_seconds\": %.6f, \"speedup\": %.4f, "
-        "\"tasks_executed\": %llu, \"steals\": %llu, \"help_joins\": %llu, "
-        "\"parallel_regions\": %llu}%s\n",
-        row.threads, row.serial_inner_seconds, row.nested_seconds, row.speedup,
-        static_cast<unsigned long long>(row.nested_stats.tasks_executed),
-        static_cast<unsigned long long>(row.nested_stats.steals),
-        static_cast<unsigned long long>(row.nested_stats.help_joins),
-        static_cast<unsigned long long>(row.nested_stats.parallel_regions),
-        i + 1 == rows.size() ? "" : ",");
-  }
-  json += "  ]\n}\n";
+  json.end_array().end_object();
   std::string error;
-  if (!hm::common::write_file_atomic(out, json, &error)) {
+  if (!hm::common::write_file_atomic(out, json.str(), &error)) {
     hm::common::log_error() << "failed to write " << out << ": " << error;
     return 1;
   }

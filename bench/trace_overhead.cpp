@@ -20,6 +20,7 @@
 #include "bench/bench_common.hpp"
 #include "common/atomic_file.hpp"
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
@@ -28,14 +29,6 @@
 #include "slambench/harness.hpp"
 
 namespace {
-
-/// snprintf into a std::string for the in-memory JSON report.
-template <typename... Args>
-std::string jsonf(const char* format, Args... args) {
-  char buffer[256];
-  const int len = std::snprintf(buffer, sizeof(buffer), format, args...);
-  return std::string(buffer, static_cast<std::size_t>(len));
-}
 
 /// The three measured instrumentation modes.
 struct Mode {
@@ -146,22 +139,20 @@ int main(int argc, char** argv) {
         overhead_percent);
   }
 
-  std::string json = "{\n  \"bench\": \"trace_overhead\",\n";
-  json += jsonf("  \"trace_compiled\": %s,\n",
-                HM_TRACE_ENABLED ? "true" : "false");
-  json += jsonf("  \"frames\": %zu,\n", frames);
-  json += jsonf("  \"repeats\": %zu,\n", repeats);
-  json += jsonf("  \"baseline_seconds\": %.6f,\n", baseline_seconds);
-  json += jsonf("  \"disabled_seconds\": %.6f,\n", disabled_seconds);
-  json += jsonf("  \"enabled_seconds\": %.6f,\n", enabled_seconds);
-  json += jsonf("  \"overhead_percent\": %.4f,\n", overhead_percent);
-  json += jsonf("  \"histogram_percent\": %.4f,\n", histogram_percent);
-  json += jsonf("  \"traced_events_per_run\": %zu,\n", traced_events);
-  json += jsonf("  \"kernel_ops_checksum\": %llu\n",
-                static_cast<unsigned long long>(checksum));
-  json += "}\n";
+  hm::common::JsonWriter json;
+  json.begin_object().key("bench").string("trace_overhead");
+  json.key("trace_compiled").boolean(HM_TRACE_ENABLED != 0);
+  json.key("frames").integer(frames);
+  json.key("repeats").integer(repeats);
+  json.key("baseline_seconds").number(baseline_seconds);
+  json.key("disabled_seconds").number(disabled_seconds);
+  json.key("enabled_seconds").number(enabled_seconds);
+  json.key("overhead_percent").number(overhead_percent);
+  json.key("histogram_percent").number(histogram_percent);
+  json.key("traced_events_per_run").integer(traced_events);
+  json.key("kernel_ops_checksum").integer(checksum).end_object();
   std::string error;
-  if (!hm::common::write_file_atomic(out, json, &error)) {
+  if (!hm::common::write_file_atomic(out, json.str(), &error)) {
     hm::common::log_error() << "failed to write " << out << ": " << error;
     return 1;
   }

@@ -11,8 +11,8 @@
 # (corrupt frames, stalled writers, vanished clients) and the SIGKILLed-
 # daemon recovery path; the observability suite (label "obs") walks the
 # scrape-endpoint chaos matrix (slow-loris readers, half-closes, oversized
-# requests), the flight-recorder ring, and the span-bundle codecs. Run
-# locally before touching the resilient evaluator, quarantine logic, the
+# requests), the flight-recorder ring, the span-bundle codecs, and the JSON
+# writer fed hostile bytes. Run locally before touching the resilient evaluator, quarantine logic, the
 # SLAM failure gates, the sandbox supervisor, src/serve/, or any *_simd
 # kernel path.
 set -euo pipefail
@@ -24,7 +24,7 @@ export HM_BUILD_TARGETS="resilient_evaluator_test optimizer_test crowd_test
   atomic_file_test run_journal_test simd_test simd_equivalence_test
   sandbox_protocol_test sandbox_test serve_protocol_test serve_test
   serve_recovery_test serve_obs_test obs_metrics_test obs_trace_test
-  flight_recorder_test json_test"
+  flight_recorder_test json_test json_writer_test"
 
 for SAN in address undefined; do
   BUILD_DIR="build-${SAN}"

@@ -19,7 +19,8 @@
 #                journal durably holds; the restarted daemon resumes the
 #                crashed campaign and writes the flight dump on drain
 # Run locally before touching src/serve/, the batch-async optimizer driver,
-# the observability surfaces, or the frame protocol in src/sandbox/protocol.*.
+# the observability surfaces, the JSON writer, or the frame codec in
+# src/common/frame.* and src/serve/protocol.*.
 set -euo pipefail
 source "$(dirname "$0")/common.sh"
 cd "$(hm_repo_root)"
@@ -28,7 +29,7 @@ BUILD_DIR="${BUILD_DIR:-build}"
 
 export HM_BUILD_TARGETS="hm_serve hm_tune serve_protocol_test serve_test
   serve_recovery_test serve_obs_test obs_metrics_test obs_trace_test json_test
-  flight_recorder_test"
+  json_writer_test flight_recorder_test"
 hm_configure_build "$BUILD_DIR"
 hm_ctest "$BUILD_DIR" -L 'serve|obs'
 

@@ -24,17 +24,6 @@
 
 namespace hm::common {
 
-/// How often the optimizer folds the journal tail into a compacted
-/// snapshot. Snapshots only ever happen at phase boundaries (between
-/// iterations), never mid-iteration — a mid-iteration snapshot would
-/// capture a partial evaluation set and change the proposals a resumed
-/// run generates, breaking byte-identical resume.
-struct CheckpointPolicy {
-  /// Snapshot after every `every_phases` completed phases; 0 disables
-  /// compaction (the journal grows for the whole run).
-  std::uint32_t every_phases = 1;
-};
-
 namespace detail {
 
 inline void append_field_escaped(std::string* out, std::string_view field) {

@@ -130,29 +130,20 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
 }
 
 std::string FlightRecorder::to_json() const {
-  const std::vector<FlightEvent> events = snapshot();
-  std::string out = "{\"recorded\": ";
-  out.append(std::to_string(recorded()));
-  out.append(", \"events\": [");
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const FlightEvent& event = events[i];
-    out.append(i == 0 ? "\n" : ",\n");
-    out.append("  {\"seq\": ");
-    out.append(std::to_string(event.seq));
-    out.append(", \"t_ms\": ");
-    out.append(std::to_string(event.unix_ms));
-    out.append(", \"kind\": \"");
-    out.append(to_string(event.kind));
-    out.append("\", \"a\": ");
-    out.append(std::to_string(event.a));
-    out.append(", \"b\": ");
-    out.append(std::to_string(event.b));
-    out.append(", \"detail\": \"");
-    out.append(json_escape(event.detail));
-    out.append("\"}");
+  JsonWriter json;
+  json.begin_object().key("recorded").integer(recorded());
+  json.key("events").begin_array();
+  for (const FlightEvent& event : snapshot()) {
+    json.begin_object();
+    json.key("seq").integer(event.seq);
+    json.key("t_ms").integer(event.unix_ms);
+    json.key("kind").string(to_string(event.kind));
+    json.key("a").integer(event.a);
+    json.key("b").integer(event.b);
+    json.key("detail").string(event.detail).end_object();
   }
-  out.append(events.empty() ? "]}\n" : "\n]}\n");
-  return out;
+  json.end_array().end_object();
+  return json.str();
 }
 
 bool FlightRecorder::dump(const std::string& path, std::string* error) const {

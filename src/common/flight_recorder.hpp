@@ -75,8 +75,8 @@ class FlightRecorder {
   /// rewritten are skipped.
   [[nodiscard]] std::vector<FlightEvent> snapshot() const;
 
-  /// `{"events": [{"seq":..,"t_ms":..,"kind":"admit","a":..,"b":..,
-  /// "detail":".."} , ...]}` — oldest first.
+  /// `{"recorded": N, "events": [{"seq": .., "t_ms": .., "kind": "admit",
+  /// "a": .., "b": .., "detail": ".."}, ...]}` — oldest first.
   [[nodiscard]] std::string to_json() const;
 
   /// Writes `to_json()` atomically to `path`.

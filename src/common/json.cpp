@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/csv.hpp"
+
 namespace hm::common {
 
 namespace {
@@ -202,17 +204,44 @@ class JsonParser {
   int depth_ = 0;
 };
 
-}  // namespace
-
-std::optional<JsonValue> parse_json(std::string_view text, std::string* error) {
-  JsonParser parser(text, error);
-  return parser.parse();
+/// Bytes of the well-formed UTF-8 sequence at the start of `text`, or 0 if
+/// it is not one; `*skip` gets how many bytes to consume either way (for an
+/// invalid sequence, its maximal prefix, so one U+FFFD replaces it). The
+/// lead byte fixes the length and the range of the second byte (Unicode
+/// Table 3-7), which rules out overlongs, surrogates and code points past
+/// U+10FFFF.
+[[nodiscard]] std::size_t utf8_sequence(std::string_view text,
+                                        std::size_t* skip) {
+  const auto lead = static_cast<unsigned char>(text[0]);
+  const std::size_t length = lead >= 0xF0   ? (lead <= 0xF4 ? 4 : 0)
+                             : lead >= 0xE0 ? 3
+                             : lead >= 0xC2 ? 2
+                                            : 0;
+  const unsigned lo = lead == 0xE0 ? 0xA0 : lead == 0xF0 ? 0x90 : 0x80;
+  const unsigned hi = lead == 0xED ? 0x9F : lead == 0xF4 ? 0x8F : 0xBF;
+  std::size_t n = 1;
+  while (n < length && n < text.size()) {
+    const auto next = static_cast<unsigned char>(text[n]);
+    if (next < (n == 1 ? lo : 0x80) || next > (n == 1 ? hi : 0xBF)) break;
+    ++n;
+  }
+  *skip = n;
+  return n == length ? length : 0;
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
+/// json_escape, appending to `out`.
+void append_escaped(std::string& out, std::string_view text) {
+  std::size_t i = 0;
+  while (i < text.size()) {
+    const char c = text[i];
+    if (static_cast<unsigned char>(c) >= 0x80) {
+      std::size_t skip = 0;
+      const std::size_t length = utf8_sequence(text.substr(i), &skip);
+      out.append(length != 0 ? text.substr(i, length) : "\xEF\xBF\xBD");
+      i += skip;
+      continue;
+    }
+    ++i;
     switch (c) {
       case '"': out.append("\\\""); break;
       case '\\': out.append("\\\\"); break;
@@ -230,7 +259,63 @@ std::string json_escape(std::string_view text) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::optional<JsonValue> parse_json(std::string_view text, std::string* error) {
+  JsonParser parser(text, error);
+  return parser.parse();
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
+}
+
+JsonWriter& JsonWriter::raw(std::string_view text) {
+  if (after_key_) {
+    after_key_ = false;
+  } else if (!first_.empty()) {
+    if (!first_.back()) out_.append(", ");
+    first_.back() = false;
+  }
+  out_.append(text);
+  return *this;
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  raw(std::string_view(&bracket, 1));
+  first_.push_back(true);
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  first_.pop_back();
+  out_.push_back(bracket);
+  if (first_.empty()) out_.push_back('\n');
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  raw("\"");
+  append_escaped(out_, name);
+  out_.append("\": ");
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view text) {
+  raw("\"");
+  append_escaped(out_, text);
+  out_.push_back('"');
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(double value) {
+  return raw(std::isfinite(value) ? format_double(value) : "null");
 }
 
 }  // namespace hm::common

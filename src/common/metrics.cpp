@@ -343,55 +343,29 @@ std::string to_prometheus_text(const MetricsSnapshot& snapshot) {
 }
 
 std::string to_json(const MetricsSnapshot& snapshot) {
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
+  JsonWriter json;
+  json.begin_object().key("counters").begin_object();
   for (const auto& [identity, value] : snapshot.counters) {
-    out.append(first ? "\n" : ",\n");
-    first = false;
-    out.append("    \"");
-    out.append(json_escape(identity));
-    out.append("\": ");
-    out.append(std::to_string(value));
+    json.key(identity).integer(value);
   }
-  out.append(first ? "},\n" : "\n  },\n");
-  out.append("  \"gauges\": {");
-  first = true;
+  json.end_object().key("gauges").begin_object();
   for (const auto& [identity, value] : snapshot.gauges) {
-    out.append(first ? "\n" : ",\n");
-    first = false;
-    out.append("    \"");
-    out.append(json_escape(identity));
-    out.append("\": ");
-    out.append(format_double(value));
+    json.key(identity).number(value);
   }
-  out.append(first ? "},\n" : "\n  },\n");
-  out.append("  \"histograms\": {");
-  first = true;
+  json.end_object().key("histograms").begin_object();
   for (const auto& [identity, histogram] : snapshot.histograms) {
-    out.append(first ? "\n" : ",\n");
-    first = false;
-    out.append("    \"");
-    out.append(json_escape(identity));
-    out.append("\": {\"count\": ");
-    out.append(std::to_string(histogram.count));
-    out.append(", \"sum\": ");
-    out.append(format_double(histogram.sum));
-    out.append(", \"mean\": ");
-    out.append(format_double(histogram.mean()));
-    out.append(", \"p50\": ");
-    out.append(format_double(histogram.quantile(0.5)));
-    out.append(", \"p99\": ");
-    out.append(format_double(histogram.quantile(0.99)));
-    out.append(", \"buckets\": [");
-    for (std::size_t k = 0; k < histogram.buckets.size(); ++k) {
-      if (k != 0) out.append(", ");
-      out.append(std::to_string(histogram.buckets[k]));
-    }
-    out.append("]}");
+    json.key(identity).begin_object();
+    json.key("count").integer(histogram.count);
+    json.key("sum").number(histogram.sum);
+    json.key("mean").number(histogram.mean());
+    json.key("p50").number(histogram.quantile(0.5));
+    json.key("p99").number(histogram.quantile(0.99));
+    json.key("buckets").begin_array();
+    for (const std::uint64_t count : histogram.buckets) json.integer(count);
+    json.end_array().end_object();
   }
-  out.append(first ? "}\n" : "\n  }\n");
-  out.append("}\n");
-  return out;
+  json.end_object().end_object();
+  return json.str();
 }
 
 std::string metrics_summary(const MetricsSnapshot& snapshot) {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -192,65 +191,35 @@ std::vector<TraceEvent> trace_snapshot() {
 
 namespace {
 
-/// Shared body for both JSON overloads: one complete ("X") event with
-/// microsecond timestamps, keyed by (pid, tid); nonzero trace ids become a
-/// decimal-string `trace_id` arg (doubles cannot hold a full u64).
-void append_chrome_event(std::string& out, std::string_view name,
-                         std::string_view category, std::uint32_t pid,
-                         std::uint32_t tid, std::int64_t start_ns,
-                         std::int64_t duration_ns, std::uint64_t trace_id) {
-  char buffer[160];
-  out.append("  {\"name\": \"");
-  out.append(json_escape(name));
-  out.append("\", \"cat\": \"");
-  out.append(json_escape(category));
-  std::snprintf(buffer, sizeof(buffer),
-                "\", \"ph\": \"X\", \"pid\": %u, \"tid\": %u, "
-                "\"ts\": %.3f, \"dur\": %.3f",
-                pid, tid, static_cast<double>(start_ns) / 1e3,
-                static_cast<double>(duration_ns) / 1e3);
-  out.append(buffer);
-  if (trace_id != 0) {
-    std::snprintf(buffer, sizeof(buffer),
-                  ", \"args\": {\"trace_id\": \"%llu\"}",
-                  static_cast<unsigned long long>(trace_id));
-    out.append(buffer);
-  }
-  out.push_back('}');
-}
-
 std::uint32_t local_pid() noexcept {
   return static_cast<std::uint32_t>(::getpid());
 }
 
 }  // namespace
 
-std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
-  std::string out = "{\"traceEvents\": [";
-  const std::uint32_t pid = local_pid();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& event = events[i];
-    out.append(i == 0 ? "\n" : ",\n");
-    append_chrome_event(out, event.name, event.category, pid, event.tid,
-                        event.start_ns, event.duration_ns, event.trace_id);
-  }
-  out.append(events.empty() ? "], " : "\n], ");
-  out.append("\"displayTimeUnit\": \"ms\"}\n");
-  return out;
-}
-
 std::string chrome_trace_json(const std::vector<RemoteTraceEvent>& events) {
-  std::string out = "{\"traceEvents\": [";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const RemoteTraceEvent& event = events[i];
-    out.append(i == 0 ? "\n" : ",\n");
-    append_chrome_event(out, event.name, event.category, event.process_id,
-                        event.tid,
-                        event.start_ns, event.duration_ns, event.trace_id);
+  // Complete ("X") events with microsecond timestamps, keyed by (pid, tid);
+  // nonzero trace ids become a decimal-string `trace_id` arg (doubles
+  // cannot hold a full u64).
+  JsonWriter json;
+  json.begin_object().key("traceEvents").begin_array();
+  for (const RemoteTraceEvent& event : events) {
+    json.begin_object();
+    json.key("name").string(event.name);
+    json.key("cat").string(event.category);
+    json.key("ph").string("X");
+    json.key("pid").integer(event.process_id);
+    json.key("tid").integer(event.tid);
+    json.key("ts").number(static_cast<double>(event.start_ns) / 1e3);
+    json.key("dur").number(static_cast<double>(event.duration_ns) / 1e3);
+    if (event.trace_id != 0) {
+      json.key("args").begin_object().key("trace_id");
+      json.string(std::to_string(event.trace_id)).end_object();
+    }
+    json.end_object();
   }
-  out.append(events.empty() ? "], " : "\n], ");
-  out.append("\"displayTimeUnit\": \"ms\"}\n");
-  return out;
+  json.end_array().key("displayTimeUnit").string("ms").end_object();
+  return json.str();
 }
 
 std::vector<RemoteTraceEvent> merged_trace_snapshot() {

@@ -139,13 +139,9 @@ bool ingest_span_bundle(std::string_view payload);
 /// events, merged and sorted by (start, pid, tid, name).
 [[nodiscard]] std::vector<RemoteTraceEvent> merged_trace_snapshot();
 
-/// Chrome trace-event JSON (`{"traceEvents": [...]}`), complete "X" events,
-/// microsecond timestamps, keyed by this process's pid.
-[[nodiscard]] std::string chrome_trace_json(
-    const std::vector<TraceEvent>& events);
-
-/// Chrome trace-event JSON for a cross-process merged timeline: events keep
-/// their originating pid, and nonzero trace ids are emitted as a
+/// Chrome trace-event JSON (`{"traceEvents": [...]}`) for a cross-process
+/// merged timeline: complete "X" events with microsecond timestamps that
+/// keep their originating pid, and nonzero trace ids emitted as a
 /// `"trace_id"` arg (decimal string) so Perfetto can group one request's
 /// spans across processes.
 [[nodiscard]] std::string chrome_trace_json(

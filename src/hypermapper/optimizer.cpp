@@ -155,11 +155,7 @@ void Optimizer::journal_phase_boundary(const OptimizationResult& result,
   // RNG stream exactly where the next iteration's pool draw will resume.
   journal_append("stat", encode_stat_record(result.iterations.back()));
   journal_append("phase", encode_phase_record(iteration, state));
-  if (checkpoint_policy_.every_phases != 0 &&
-      ++phases_since_compaction_ >= checkpoint_policy_.every_phases) {
-    phases_since_compaction_ = 0;
-    compact_journal(result, true, iteration, state);
-  }
+  compact_journal(result, true, iteration, state);
 }
 
 // --- AsyncRun: the batch-async search engine. ---
@@ -719,41 +715,6 @@ OptimizationResult Optimizer::run_random_only() {
   result.random_phase_pareto = measured_front(result);
   result.pareto = result.random_phase_pareto;
   return result;
-}
-
-OptimizationResult Optimizer::run_seeded(std::span<const SampleRecord> seed) {
-  OptimizationResult initial;
-  initial.samples.reserve(seed.size());
-  const bool discrete = space_.cardinality() != 0;
-  for (const SampleRecord& record : seed) {
-    const Configuration snapped = space_.snap(record.config);
-    // Seed samples come from files and earlier runs: validate them like any
-    // other evaluation instead of trusting them (a malformed CSV row must
-    // not poison the surrogate or the Pareto sweep).
-    if (auto error = validate_objectives(
-            record.objectives, evaluator_.objective_count(),
-            config_.resilience.require_non_negative)) {
-      QuarantineRecord rejected;
-      rejected.config = snapped;
-      rejected.key = discrete ? space_.key(snapped) : config_hash(snapped);
-      rejected.status = EvaluationStatus::kInvalidObjectives;
-      rejected.message = "seed sample rejected: " + std::move(*error);
-      rejected.iteration = 0;
-      initial.quarantine.push_back(std::move(rejected));
-      continue;
-    }
-    SampleRecord copy;
-    copy.config = snapped;
-    copy.objectives = record.objectives;
-    copy.iteration = 0;
-    initial.samples.push_back(std::move(copy));
-  }
-  AsyncRun::Start start;
-  start.initial = std::move(initial);
-  start.needs_bootstrap = false;
-  AsyncRun session(*this, std::move(start));
-  drive(session);
-  return session.finish();
 }
 
 }  // namespace hm::hypermapper

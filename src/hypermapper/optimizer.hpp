@@ -7,9 +7,9 @@
 //
 // The search core is batch-asynchronous: Optimizer::AsyncRun proposes one
 // candidate batch at a time and folds evaluation outcomes back in as they
-// land, in any order and from any thread. run()/resume()/run_seeded() are
-// thin synchronous drivers over it; hm_serve drives many AsyncRuns from one
-// event loop, dispatching their batches on the shared ThreadPool. The
+// land, in any order and from any thread. run()/resume()/run_random_only()
+// are thin synchronous drivers over it; hm_serve drives many AsyncRuns from
+// one event loop, dispatching their batches on the shared ThreadPool. The
 // result stream stays deterministic regardless of completion order because
 // outcomes are merged in slot order at batch commit, which is also the
 // journal's seq order — a served, crashed, resumed campaign reproduces the
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -155,12 +154,12 @@ class Optimizer {
   /// loses at most the evaluations that were in flight. The journal must
   /// outlive the optimizer's run. For run(), attach a fresh (empty-file)
   /// journal; to continue a crashed run, open its existing journal and call
-  /// resume(). `policy` controls how often the journal is compacted into a
-  /// snapshot (default: every phase boundary).
-  void attach_journal(hm::common::JournalWriter* journal,
-                      hm::common::CheckpointPolicy policy = {}) {
+  /// resume(). The journal is compacted into a snapshot at every phase
+  /// boundary (between iterations, never mid-iteration: a mid-iteration
+  /// snapshot would capture a partial evaluation set and change the
+  /// proposals a resumed run generates).
+  void attach_journal(hm::common::JournalWriter* journal) {
     journal_ = journal;
-    checkpoint_policy_ = policy;
   }
 
   /// Cooperative cancellation probe, polled between evaluations and between
@@ -189,13 +188,6 @@ class Optimizer {
 
   /// Runs only the random bootstrap phase (used by the sampling ablation).
   [[nodiscard]] OptimizationResult run_random_only();
-
-  /// Runs Algorithm 1 warm-started from previously measured samples (their
-  /// objectives are reused, not re-evaluated) instead of the random
-  /// bootstrap — the "resampling / transfer" direction of the paper's
-  /// future work. Seed samples are recorded as iteration 0.
-  [[nodiscard]] OptimizationResult run_seeded(
-      std::span<const SampleRecord> seed);
 
   /// Batch-asynchronous tuning session. The driver loop is:
   ///
@@ -271,12 +263,10 @@ class Optimizer {
   hm::common::ThreadPool* pool_;
   ProgressFn progress_;
   hm::common::JournalWriter* journal_ = nullptr;
-  hm::common::CheckpointPolicy checkpoint_policy_;
   std::function<bool()> cancel_;
   /// True only inside a journaled session after the run record is on disk;
-  /// run_random_only/run_seeded never journal.
+  /// run_random_only never journals.
   bool journal_started_ = false;
-  std::uint32_t phases_since_compaction_ = 0;
 };
 
 class Optimizer::AsyncRun {
@@ -334,7 +324,7 @@ class Optimizer::AsyncRun {
   static constexpr unsigned char kSlotReplayed = 2;
   static constexpr unsigned char kSlotSkipped = 3;
 
-  /// Construction recipe shared by run()/resume()/run_seeded()/serve.
+  /// Construction recipe shared by run()/resume()/run_random_only()/serve.
   struct Start {
     OptimizationResult initial;
     bool needs_bootstrap = true;

@@ -1,21 +1,11 @@
 // Wire protocol between the evaluation supervisor and its forked workers:
-// length-framed, crc-checked messages over a pair of pipes. The payload
-// codecs reuse the journal's bit-exact field encoding (checkpoint.hpp), so
-// an objective vector crosses the process boundary with the identical
-// IEEE-754 bits it would have in-process — the determinism guarantee the
-// optimizer's byte-identical resume depends on. This protocol is the seed
-// of the `hm_serve` request/reply daemon the ROADMAP targets: a worker is
-// simply a client whose transport is a pipe instead of a socket.
-//
-// Frame layout (all integers little-endian):
-//   [u32 payload length][u32 crc32(payload)][payload bytes]
-//
-// A frame is only ever acted on after its checksum verifies; anything else
-// — a short read, an oversized length, a crc mismatch — classifies the
-// stream as corrupt and the supervisor kills and replaces the worker.
+// the request and response payloads carried in common/frame.hpp frames over
+// a pair of pipes. The payload codecs reuse the journal's bit-exact field
+// encoding (checkpoint.hpp), so an objective vector crosses the process
+// boundary with the identical IEEE-754 bits it would have in-process — the
+// determinism guarantee the optimizer's byte-identical resume depends on.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,32 +14,6 @@
 #include <vector>
 
 namespace hm::sandbox {
-
-/// Upper bound on a frame payload. A length field above this is corruption
-/// (or a hostile worker), not a real message; reject before allocating.
-inline constexpr std::size_t kMaxFramePayload = std::size_t{1} << 24;
-
-/// Result of one framed read.
-enum class FrameStatus : std::uint8_t {
-  kOk = 0,
-  kEof,      ///< Orderly EOF at a frame boundary (peer closed / died idle).
-  kTimeout,  ///< The deadline expired before a complete frame arrived.
-  kCorrupt,  ///< Bad length, bad checksum, or EOF inside a frame.
-  kError,    ///< A non-retryable read/poll error (errno describes it).
-};
-
-[[nodiscard]] const char* to_string(FrameStatus status);
-
-/// Writes one complete frame, retrying EINTR and short writes. Returns
-/// false on any hard error (typically EPIPE: the peer is gone).
-[[nodiscard]] bool write_frame(int fd, std::string_view payload);
-
-/// Reads one complete frame. `deadline_seconds` bounds the whole frame
-/// (header + payload) in wall-clock time; <= 0 blocks indefinitely. EINTR
-/// never aborts the read — the remaining budget is recomputed and the wait
-/// resumes, so signal-heavy supervisors cannot mis-classify a live worker.
-[[nodiscard]] FrameStatus read_frame(int fd, std::string* payload,
-                                     double deadline_seconds);
 
 /// One evaluation request: the configuration vector plus the deterministic
 /// retry nonce (0 means a first attempt — `Evaluator::evaluate`; non-zero
@@ -85,59 +49,6 @@ struct EvalResponse {
 
 [[nodiscard]] std::string encode_response(const EvalResponse& response);
 [[nodiscard]] std::optional<EvalResponse> decode_response(
-    std::string_view payload);
-
-// --- hm_serve control-plane messages. ---
-//
-// The daemon speaks the same frame layout over a stream socket (UNIX or
-// TCP); read_frame/write_frame are already transport-agnostic — poll-based,
-// EINTR-retrying, short-transfer-safe — so sockets need no new I/O code,
-// only new payload types. A serve frame is a tagged message: a short kind
-// string plus positional string fields (doubles, when present, use the
-// bit-exact hex codec like every other payload in this file).
-//
-// Kinds, client -> server:
-//   hello   [client_name, protocol_version]
-//   submit  [scenario_json]         open a new campaign
-//   resume  [campaign_id]           reattach a parked or recovered campaign
-//   ping    [seq]                   liveness probe
-//   bye     []                      orderly detach (campaign keeps running)
-//
-// Kinds, server -> client:
-//   welcome  [server_name, protocol_version, max_campaigns]
-//   accepted [campaign_id]          admission granted, campaign running
-//   busy     [reason]               typed overload shed — never a silent drop
-//   error    [message]              malformed scenario / unknown campaign / ...
-//   progress [campaign_id, iteration, samples, front_size]
-//   report   [campaign_id, interrupted, report_bytes]  final rendered report
-//   parked   [campaign_id, reason]  campaign parked (drain, dead client)
-//   pong     [seq]
-//   spans    [campaign_id, bundle]  merged span bundle for the campaign's
-//                                   trace id (encode_span_bundle payload);
-//                                   sent just before `report` when the
-//                                   submit carried a nonzero trace id
-//
-// Every serve frame also carries a (trace_id, span_id) pair: trace_id is
-// the request-scoped correlation id (0 = untraced) that the daemon
-// propagates into campaign evaluations and sandbox workers; span_id
-// identifies the sender's current span so either side can attribute a
-// frame to the span that produced it.
-struct ServeFrame {
-  std::string kind;
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::vector<std::string> fields;
-};
-
-/// Current serve protocol version; `hello`/`welcome` carry it so a client
-/// from a different build fails the handshake explicitly. v2: the serve
-/// frame header grew the (trace_id, span_id) pair and EvalRequest/
-/// EvalResponse gained trace_id/span_bundle — a v1 peer must be rejected
-/// at the handshake, not fail mid-stream with opaque decode errors.
-inline constexpr std::uint64_t kServeProtocolVersion = 2;
-
-[[nodiscard]] std::string encode_serve_frame(const ServeFrame& frame);
-[[nodiscard]] std::optional<ServeFrame> decode_serve_frame(
     std::string_view payload);
 
 }  // namespace hm::sandbox

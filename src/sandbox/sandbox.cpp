@@ -15,6 +15,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/flight_recorder.hpp"
+#include "common/frame.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
@@ -26,6 +27,9 @@ namespace hm::sandbox {
 
 namespace {
 
+using hm::common::FrameStatus;
+using hm::common::read_frame;
+using hm::common::write_frame;
 using hm::hypermapper::Configuration;
 using hm::hypermapper::EvaluationError;
 using hm::hypermapper::EvaluationTimeout;

@@ -3,8 +3,8 @@
 // evaluations segfault, spin forever, or exhaust memory — and the
 // cooperative deadline in ResilientEvaluator cannot preempt any of that.
 // SandboxedEvaluator runs every evaluation inside a pool of forked worker
-// processes speaking the framed pipe protocol (protocol.hpp), so the
-// supervisor can enforce *hard* guarantees:
+// processes speaking the framed pipe protocol (common/frame.hpp carrying
+// protocol.hpp payloads), so the supervisor can enforce *hard* guarantees:
 //
 //   - wall-clock deadlines via poll() + SIGKILL (the worker never gets a
 //     vote), memory ceilings via setrlimit(RLIMIT_AS) in the child;

@@ -260,6 +260,20 @@ std::size_t Campaign::front_size() const {
   return session_ != nullptr ? session_->front_size() : 0;
 }
 
+void Campaign::write_status(hm::common::JsonWriter& json) const {
+  json.begin_object().key("id").string(id());
+  json.key("state").string(to_string(state_));
+  json.key("iteration").integer(iteration());
+  json.key("samples").integer(sample_count());
+  json.key("front").integer(front_size());
+  json.key("outstanding").integer(outstanding_);
+  json.key("evals_delivered").integer(evals_delivered());
+  json.key("retries").integer(retries());
+  json.key("trace_id").string(std::to_string(trace_id_));
+  if (!park_reason_.empty()) json.key("park_reason").string(park_reason_);
+  json.end_object();
+}
+
 void Campaign::release_evaluators() {
   // Nothing is in flight once a campaign settles, and a resume builds a new
   // Campaign, so the evaluator chain can go now: the sandbox's workers exit

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/journal.hpp"
+#include "common/json.hpp"
 #include "common/timer.hpp"
 #include "hypermapper/optimizer.hpp"
 #include "sandbox/sandbox.hpp"
@@ -110,6 +111,10 @@ class Campaign {
   [[nodiscard]] const std::string& park_reason() const noexcept {
     return park_reason_;
   }
+
+  /// Appends this campaign's `/status` entry (id, state, progress and
+  /// delivery counters, trace id, park reason) as one JSON object.
+  void write_status(hm::common::JsonWriter& json) const;
 
   /// Progress counters for `progress` frames.
   [[nodiscard]] std::size_t iteration() const;

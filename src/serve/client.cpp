@@ -2,23 +2,24 @@
 
 #include <utility>
 
+#include "common/frame.hpp"
 #include "common/trace.hpp"
 #include "serve/net.hpp"
+#include "serve/protocol.hpp"
 
 namespace hm::serve {
 
 namespace {
 
-using hm::sandbox::FrameStatus;
-using hm::sandbox::ServeFrame;
+using hm::common::FrameStatus;
 
 [[nodiscard]] std::optional<ServeFrame> read_serve_frame(int fd,
                                                          double deadline) {
   std::string payload;
-  if (hm::sandbox::read_frame(fd, &payload, deadline) != FrameStatus::kOk) {
+  if (hm::common::read_frame(fd, &payload, deadline) != FrameStatus::kOk) {
     return std::nullopt;
   }
-  return hm::sandbox::decode_serve_frame(payload);
+  return decode_serve_frame(payload);
 }
 
 }  // namespace
@@ -29,8 +30,8 @@ bool Client::send_frame(const std::string& kind,
   frame.kind = kind;
   frame.trace_id = trace_id_;
   frame.fields = std::move(fields);
-  return hm::sandbox::write_frame(fd_,
-                                  hm::sandbox::encode_serve_frame(frame));
+  return hm::common::write_frame(fd_,
+                                  encode_serve_frame(frame));
 }
 
 Client::~Client() { close_socket(fd_); }
@@ -71,14 +72,14 @@ std::optional<Client> Client::connect_port(std::uint16_t port,
 bool Client::handshake(std::string* error) {
   if (!send_frame("hello",
                   {"hm_client",
-                   std::to_string(hm::sandbox::kServeProtocolVersion)})) {
+                   std::to_string(kServeProtocolVersion)})) {
     if (error != nullptr) *error = "cannot send hello";
     return false;
   }
   const auto welcome = read_serve_frame(fd_, 5.0);
   if (!welcome || welcome->kind != "welcome" || welcome->fields.size() != 3 ||
       welcome->fields[1] !=
-          std::to_string(hm::sandbox::kServeProtocolVersion)) {
+          std::to_string(kServeProtocolVersion)) {
     if (error != nullptr) *error = "handshake failed";
     return false;
   }

@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "sandbox/protocol.hpp"
-
 namespace hm::serve {
 
 /// Outcome of one campaign run as seen by the client.

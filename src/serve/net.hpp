@@ -12,8 +12,8 @@
 //     that vanished surfaces as EPIPE from write_fd_all, not a kill.
 //
 // Both UNIX-domain and loopback TCP listeners are supported; a connected
-// socket is just an fd, and the framed protocol (sandbox/protocol.hpp)
-// reads and writes it with the same code that drives the sandbox pipes.
+// socket is just an fd, and the frame codec (common/frame.hpp) reads and
+// writes it with the same code that drives the sandbox pipes.
 #pragma once
 
 #include <cstddef>

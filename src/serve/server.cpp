@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/flight_recorder.hpp"
+#include "common/frame.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
@@ -18,8 +19,7 @@ namespace {
 
 using hm::common::FlightEventKind;
 using hm::common::FlightRecorder;
-using hm::sandbox::FrameStatus;
-using hm::sandbox::ServeFrame;
+using hm::common::FrameStatus;
 
 constexpr const char* kServerName = "hm_serve";
 
@@ -256,7 +256,7 @@ void Server::accept_new_connection() {
 bool Server::service_connection(Connection& conn) {
   std::string payload;
   const FrameStatus status =
-      hm::sandbox::read_frame(conn.fd, &payload, config_.frame_read_seconds);
+      hm::common::read_frame(conn.fd, &payload, config_.frame_read_seconds);
   switch (status) {
     case FrameStatus::kOk: break;
     case FrameStatus::kEof:
@@ -273,7 +273,7 @@ bool Server::service_connection(Connection& conn) {
       return false;
   }
   conn.last_activity = clock_.seconds();
-  const auto frame = hm::sandbox::decode_serve_frame(payload);
+  const auto frame = decode_serve_frame(payload);
   if (!frame) {
     (void)send(conn.fd, frame_of("error", {"undecodable frame"}));
     abandon_connection(conn, "undecodable frame");
@@ -286,7 +286,7 @@ bool Server::handle_frame(Connection& conn, const ServeFrame& frame) {
   if (frame.kind == "hello") {
     if (frame.fields.size() != 2 ||
         frame.fields[1] !=
-            std::to_string(hm::sandbox::kServeProtocolVersion)) {
+            std::to_string(kServeProtocolVersion)) {
       (void)send(conn.fd, frame_of("error", {"protocol version mismatch"}));
       return false;
     }
@@ -295,7 +295,7 @@ bool Server::handle_frame(Connection& conn, const ServeFrame& frame) {
         conn.fd,
         frame_of("welcome",
                  {kServerName,
-                  std::to_string(hm::sandbox::kServeProtocolVersion),
+                  std::to_string(kServeProtocolVersion),
                   std::to_string(config_.max_campaigns)}));
   }
   if (frame.kind == "ping") {
@@ -847,54 +847,27 @@ std::string Server::render_metrics_body() {
 }
 
 std::string Server::render_status_body() {
-  std::string out = "{\n  \"server\": \"";
-  out += kServerName;
-  out += "\",\n  \"uptime_seconds\": ";
-  out += std::to_string(clock_.seconds());
-  out += ",\n  \"connections\": ";
-  out += std::to_string(connections_.size());
-  out += ",\n  \"scrape_connections\": ";
-  out += std::to_string(http_connections_.size());
-  out += ",\n  \"pool_threads\": ";
-  out += std::to_string(pool_ != nullptr ? pool_->thread_count() : 0);
-  out += ",\n  \"sheds\": ";
-  out += std::to_string(sheds_);
-  out += ",\n  \"parks\": ";
-  out += std::to_string(parks_);
-  out += ",\n  \"dones\": ";
-  out += std::to_string(dones_);
-  out += ",\n  \"recoverable\": ";
-  out += std::to_string(recoverable_.size());
-  out += ",\n  \"flight_events\": ";
-  out += std::to_string(hm::common::FlightRecorder::global().recorded());
-  out += ",\n  \"campaigns\": [";
-  bool first = true;
-  for (const auto& [id, campaign] : campaigns_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"id\": \"" + hm::common::json_escape(id) + "\"";
-    out += ", \"state\": \"";
-    out += Campaign::to_string(campaign->state());
-    out += "\", \"iteration\": " + std::to_string(campaign->iteration());
-    out += ", \"samples\": " + std::to_string(campaign->sample_count());
-    out += ", \"front\": " + std::to_string(campaign->front_size());
-    out += ", \"outstanding\": " + std::to_string(campaign->outstanding());
-    out += ", \"evals_delivered\": " +
-           std::to_string(campaign->evals_delivered());
-    out += ", \"retries\": " + std::to_string(campaign->retries());
-    out += ", \"trace_id\": \"" + std::to_string(campaign->trace_id()) + "\"";
-    if (!campaign->park_reason().empty()) {
-      out += ", \"park_reason\": \"" +
-             hm::common::json_escape(campaign->park_reason()) + "\"";
-    }
-    out += "}";
-  }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  hm::common::JsonWriter json;
+  json.begin_object().key("server").string(kServerName);
+  json.key("uptime_seconds").number(clock_.seconds());
+  json.key("connections").integer(connections_.size());
+  json.key("scrape_connections").integer(http_connections_.size());
+  json.key("pool_threads")
+      .integer(pool_ != nullptr ? pool_->thread_count() : 0);
+  json.key("sheds").integer(sheds_);
+  json.key("parks").integer(parks_);
+  json.key("dones").integer(dones_);
+  json.key("recoverable").integer(recoverable_.size());
+  json.key("flight_events")
+      .integer(hm::common::FlightRecorder::global().recorded());
+  json.key("campaigns").begin_array();
+  for (const auto& [id, campaign] : campaigns_) campaign->write_status(json);
+  json.end_array().end_object();
+  return json.str();
 }
 
 bool Server::send(int fd, const ServeFrame& frame) {
-  return hm::sandbox::write_frame(fd, hm::sandbox::encode_serve_frame(frame));
+  return hm::common::write_frame(fd, encode_serve_frame(frame));
 }
 
 Server::Connection* Server::connection_for(const Campaign* campaign) {

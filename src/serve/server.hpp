@@ -33,7 +33,7 @@
 
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
-#include "sandbox/protocol.hpp"
+#include "serve/protocol.hpp"
 #include "serve/campaign.hpp"
 
 namespace hm::serve {
@@ -144,7 +144,7 @@ class Server {
   /// Handles one readable connection; returns false when it must close.
   [[nodiscard]] bool service_connection(Connection& conn);
   [[nodiscard]] bool handle_frame(Connection& conn,
-                                  const hm::sandbox::ServeFrame& frame);
+                                  const ServeFrame& frame);
   [[nodiscard]] bool handle_submit(Connection& conn,
                                    const std::string& scenario_json,
                                    std::uint64_t trace_id);
@@ -183,7 +183,7 @@ class Server {
   [[nodiscard]] std::string render_metrics_body();
   [[nodiscard]] std::string render_status_body();
 
-  [[nodiscard]] bool send(int fd, const hm::sandbox::ServeFrame& frame);
+  [[nodiscard]] bool send(int fd, const ServeFrame& frame);
   [[nodiscard]] Connection* connection_for(const Campaign* campaign);
 
   ServerConfig config_;

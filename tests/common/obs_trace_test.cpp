@@ -168,7 +168,7 @@ TEST(Trace, CompiledOutSpansAreNoOps) {
 // --- Chrome trace JSON ---------------------------------------------------
 
 TEST(ChromeTraceJson, EmptyTraceParses) {
-  const std::string json = chrome_trace_json(std::vector<TraceEvent>{});
+  const std::string json = chrome_trace_json(std::vector<RemoteTraceEvent>{});
   std::string error;
   const auto document = parse_json(json, &error);
   ASSERT_TRUE(document.has_value()) << error << "\n" << json;
@@ -176,9 +176,9 @@ TEST(ChromeTraceJson, EmptyTraceParses) {
 }
 
 TEST(ChromeTraceJson, RoundTripPreservesEvents) {
-  std::vector<TraceEvent> events;
-  events.push_back({"alpha", "cat_a", 0, 1'000, 2'500});
-  events.push_back({"beta \"quoted\"\\slash", "cat_b", 3, 4'000'000, 1});
+  std::vector<RemoteTraceEvent> events;
+  events.push_back({"alpha", "cat_a", 1, 0, 1'000, 2'500, 0});
+  events.push_back({"beta \"quoted\"\\slash", "cat_b", 1, 3, 4'000'000, 1, 0});
   const std::string json = chrome_trace_json(events);
 
   std::string error;

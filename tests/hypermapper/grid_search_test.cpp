@@ -107,68 +107,5 @@ TEST(GridSearch, AllSamplesAreIterationZero) {
   EXPECT_EQ(result.random_sample_count(), result.samples.size());
 }
 
-TEST(RunSeeded, ContinuesFromPriorMeasurements) {
-  DesignSpace space;
-  space.add(Parameter::integer_range("x", 0, 31));
-  space.add(Parameter::integer_range("y", 0, 31));
-
-  class Synthetic final : public Evaluator {
-   public:
-    [[nodiscard]] std::size_t objective_count() const override { return 2; }
-    [[nodiscard]] std::vector<double> evaluate(const Configuration& c) override {
-      ++calls;
-      const double x = c[0] / 31.0, y = c[1] / 31.0;
-      return {x, (1 - x) * (1 - x) + 0.3 * (y - 0.5) * (y - 0.5)};
-    }
-    std::size_t calls = 0;
-  };
-
-  // First run produces measurements; the seeded run reuses them.
-  Synthetic first_eval;
-  OptimizerConfig config;
-  config.random_samples = 40;
-  config.max_iterations = 2;
-  config.pool_size = 1024;
-  config.forest.tree_count = 16;
-  Optimizer first(space, first_eval, config);
-  const auto prior = first.run();
-
-  Synthetic seeded_eval;
-  Optimizer seeded(space, seeded_eval, config);
-  const auto result = seeded.run_seeded(prior.samples);
-  // The seed itself costs no evaluations; only AL batches run.
-  EXPECT_EQ(seeded_eval.calls, result.active_sample_count());
-  EXPECT_GE(result.samples.size(), prior.samples.size());
-  EXPECT_FALSE(result.pareto.empty());
-  // Seeds are recorded as iteration 0 with their original objectives.
-  for (std::size_t i = 0; i < prior.samples.size(); ++i) {
-    EXPECT_EQ(result.samples[i].objectives, prior.samples[i].objectives);
-    EXPECT_EQ(result.samples[i].iteration, 0u);
-  }
-}
-
-TEST(RunSeeded, EmptySeedStillRunsActiveLearning) {
-  DesignSpace space;
-  space.add(Parameter::integer_range("x", 0, 15));
-
-  class OneD final : public Evaluator {
-   public:
-    [[nodiscard]] std::size_t objective_count() const override { return 2; }
-    [[nodiscard]] std::vector<double> evaluate(const Configuration& c) override {
-      return {c[0], 15.0 - c[0]};
-    }
-  };
-  OneD evaluator;
-  OptimizerConfig config;
-  config.max_iterations = 1;
-  config.pool_size = 16;
-  config.forest.tree_count = 4;
-  Optimizer optimizer(space, evaluator, config);
-  const auto result = optimizer.run_seeded({});
-  // With no seed the forests cannot train on iteration 1... the loop must
-  // not crash; it may produce zero or more samples.
-  EXPECT_GE(result.samples.size(), 0u);
-}
-
 }  // namespace
 }  // namespace hm::hypermapper

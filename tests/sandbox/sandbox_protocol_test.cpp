@@ -13,11 +13,17 @@
 #include <gtest/gtest.h>
 
 #include "common/atomic_file.hpp"
+#include "common/frame.hpp"
 #include "sandbox/protocol.hpp"
 #include "sandbox/sandbox.hpp"
 
 namespace hm::sandbox {
 namespace {
+
+using hm::common::FrameStatus;
+using hm::common::kMaxFramePayload;
+using hm::common::read_frame;
+using hm::common::write_frame;
 
 struct PipePair {
   int read_fd = -1;

@@ -31,11 +31,13 @@
 #include <unistd.h>
 
 #include "common/flight_recorder.hpp"
+#include "common/json.hpp"
 #include "common/trace.hpp"
 #include "serve/client.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
 #include "serve_util.hpp"
+#include "../common/valid_utf8.hpp"
 
 // The traced-sandbox case forks evaluation workers from the threaded
 // daemon process; ThreadSanitizer does not support fork+threads, so it
@@ -189,6 +191,33 @@ TEST(ServeObs, EventsScrapeServesTheFlightRecorderRing) {
   // global ring (shared across this binary; presence, not counts).
   EXPECT_NE(reply.find("\"kind\": \"admit\""), std::string::npos);
   EXPECT_NE(reply.find("\"detail\": \"obs-events\""), std::string::npos);
+  ts.stop_and_join();
+}
+
+TEST(ServeObs, EventsStayValidUtf8AfterHostileScrapeTargets) {
+  ObsTestServer ts("events-utf8");
+  ASSERT_TRUE(ts.start());
+  // Each scrape target is recorded as a flight event: a lone 0xff, and a
+  // two-byte character that the 47-byte detail slot cuts in half.
+  EXPECT_NE(http_get(ts.http_port(), "/\xff").find("404"), std::string::npos);
+  EXPECT_NE(http_get(ts.http_port(), "/" + std::string(45, 'a') + "\xc3\xa9")
+                .find("404"),
+            std::string::npos);
+
+  const std::string reply = http_get(ts.http_port(), "/events");
+  const std::size_t body = reply.find("\r\n\r\n");
+  ASSERT_NE(body, std::string::npos) << reply;
+  const std::string json = reply.substr(body + 4);
+  EXPECT_TRUE(hm::testutil::valid_utf8(json)) << json;
+  std::string error;
+  const auto document = hm::common::parse_json(json, &error);
+  ASSERT_TRUE(document.has_value()) << error << "\n" << json;
+  bool saw_cut = false;
+  for (const auto& event : document->find("events")->array) {
+    saw_cut = saw_cut || event.find("detail")->string ==
+                             "/" + std::string(45, 'a') + "\xEF\xBF\xBD";
+  }
+  EXPECT_TRUE(saw_cut) << json;
   ts.stop_and_join();
 }
 

@@ -20,17 +20,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "sandbox/protocol.hpp"
+#include "common/frame.hpp"
 #include "hypermapper/resilient_evaluator.hpp"
+#include "sandbox/protocol.hpp"
+#include "serve/protocol.hpp"
 #include "serve/scenario.hpp"
 #include "slambench/adapters.hpp"
 
 namespace hm::serve {
 namespace {
 
-using hm::sandbox::FrameStatus;
-using hm::sandbox::ServeFrame;
-using hm::sandbox::kMaxFramePayload;
+using hm::common::FrameStatus;
+using hm::common::kMaxFramePayload;
 
 /// A connected stream socketpair; [0] is "ours", [1] the peer's.
 struct SocketPair {
@@ -63,9 +64,9 @@ void write_u32(int fd, std::uint32_t value) {
 TEST(ServeFraming, RoundTripsOverASocketpair) {
   SocketPair pair;
   const std::string payload = "serve payload \x01\x02 with bytes";
-  ASSERT_TRUE(hm::sandbox::write_frame(pair.fds[1], payload));
+  ASSERT_TRUE(hm::common::write_frame(pair.fds[1], payload));
   std::string read_back;
-  EXPECT_EQ(hm::sandbox::read_frame(pair.fds[0], &read_back, 2.0),
+  EXPECT_EQ(hm::common::read_frame(pair.fds[0], &read_back, 2.0),
             FrameStatus::kOk);
   EXPECT_EQ(read_back, payload);
 }
@@ -74,7 +75,7 @@ TEST(ServeFraming, EofAtAFrameBoundaryIsEof) {
   SocketPair pair;
   pair.close_peer();
   std::string payload;
-  EXPECT_EQ(hm::sandbox::read_frame(pair.fds[0], &payload, 2.0),
+  EXPECT_EQ(hm::common::read_frame(pair.fds[0], &payload, 2.0),
             FrameStatus::kEof);
 }
 
@@ -84,7 +85,7 @@ TEST(ServeFraming, EofMidHeaderIsCorrupt) {
   write_raw(pair.fds[1], partial, sizeof partial);
   pair.close_peer();
   std::string payload;
-  EXPECT_EQ(hm::sandbox::read_frame(pair.fds[0], &payload, 2.0),
+  EXPECT_EQ(hm::common::read_frame(pair.fds[0], &payload, 2.0),
             FrameStatus::kCorrupt);
 }
 
@@ -96,7 +97,7 @@ TEST(ServeFraming, EofMidPayloadIsCorrupt) {
   write_raw(pair.fds[1], "0123456789", 10);
   pair.close_peer();
   std::string payload;
-  EXPECT_EQ(hm::sandbox::read_frame(pair.fds[0], &payload, 2.0),
+  EXPECT_EQ(hm::common::read_frame(pair.fds[0], &payload, 2.0),
             FrameStatus::kCorrupt);
 }
 
@@ -107,14 +108,14 @@ TEST(ServeFraming, OversizeLengthHeaderIsCorrupt) {
   write_u32(pair.fds[1], static_cast<std::uint32_t>(kMaxFramePayload + 1));
   write_u32(pair.fds[1], 0);
   std::string payload;
-  EXPECT_EQ(hm::sandbox::read_frame(pair.fds[0], &payload, 2.0),
+  EXPECT_EQ(hm::common::read_frame(pair.fds[0], &payload, 2.0),
             FrameStatus::kCorrupt);
 }
 
 TEST(ServeFraming, CorruptedChecksumIsCorrupt) {
   // Capture a valid frame's bytes, flip one payload byte, replay it.
   SocketPair capture;
-  ASSERT_TRUE(hm::sandbox::write_frame(capture.fds[1], "checksummed"));
+  ASSERT_TRUE(hm::common::write_frame(capture.fds[1], "checksummed"));
   char wire[64];
   const ssize_t got = ::read(capture.fds[0], wire, sizeof wire);
   ASSERT_GT(got, 8);
@@ -122,7 +123,7 @@ TEST(ServeFraming, CorruptedChecksumIsCorrupt) {
   SocketPair replay;
   write_raw(replay.fds[1], wire, static_cast<std::size_t>(got));
   std::string payload;
-  EXPECT_EQ(hm::sandbox::read_frame(replay.fds[0], &payload, 2.0),
+  EXPECT_EQ(hm::common::read_frame(replay.fds[0], &payload, 2.0),
             FrameStatus::kCorrupt);
 }
 
@@ -132,7 +133,7 @@ TEST(ServeFraming, GarbageBytesAreCorrupt) {
                                     0xff, 0xff, 0xff, 0xff};
   write_raw(pair.fds[1], garbage, sizeof garbage);
   std::string payload;
-  EXPECT_EQ(hm::sandbox::read_frame(pair.fds[0], &payload, 2.0),
+  EXPECT_EQ(hm::common::read_frame(pair.fds[0], &payload, 2.0),
             FrameStatus::kCorrupt);
 }
 
@@ -143,7 +144,7 @@ TEST(ServeFraming, StalledWriterHitsTheDeadline) {
   const unsigned char partial[4] = {0x10, 0x00, 0x00, 0x00};
   write_raw(pair.fds[1], partial, sizeof partial);
   std::string payload;
-  EXPECT_EQ(hm::sandbox::read_frame(pair.fds[0], &payload, 0.2),
+  EXPECT_EQ(hm::common::read_frame(pair.fds[0], &payload, 0.2),
             FrameStatus::kTimeout);
 }
 
@@ -152,7 +153,7 @@ TEST(ServeFrameCodec, RoundTripsKindAndFields) {
   frame.kind = "progress";
   frame.fields = {"campaign-1", "3", "58", "7"};
   const auto decoded =
-      hm::sandbox::decode_serve_frame(hm::sandbox::encode_serve_frame(frame));
+      decode_serve_frame(encode_serve_frame(frame));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->kind, frame.kind);
   EXPECT_EQ(decoded->fields, frame.fields);
@@ -165,7 +166,7 @@ TEST(ServeFrameCodec, RoundTripsTraceAndSpanIds) {
   frame.span_id = 42;
   frame.fields = {"{\"name\": \"demo\"}"};
   const auto decoded =
-      hm::sandbox::decode_serve_frame(hm::sandbox::encode_serve_frame(frame));
+      decode_serve_frame(encode_serve_frame(frame));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->trace_id, frame.trace_id);
   EXPECT_EQ(decoded->span_id, frame.span_id);
@@ -174,21 +175,21 @@ TEST(ServeFrameCodec, RoundTripsTraceAndSpanIds) {
   frame.trace_id = 0;
   frame.span_id = 0;
   const auto untraced =
-      hm::sandbox::decode_serve_frame(hm::sandbox::encode_serve_frame(frame));
+      decode_serve_frame(encode_serve_frame(frame));
   ASSERT_TRUE(untraced.has_value());
   EXPECT_EQ(untraced->trace_id, 0u);
   EXPECT_EQ(untraced->span_id, 0u);
 }
 
 TEST(ServeFrameCodec, RejectsForeignPayloads) {
-  EXPECT_FALSE(hm::sandbox::decode_serve_frame("").has_value());
-  EXPECT_FALSE(hm::sandbox::decode_serve_frame("not a frame").has_value());
+  EXPECT_FALSE(decode_serve_frame("").has_value());
+  EXPECT_FALSE(decode_serve_frame("not a frame").has_value());
   // A sandbox eval-request payload is a valid *frame* but not a serve
   // message; the codecs must not be confusable.
   hm::sandbox::EvalRequest request;
   request.config = {1.0, 2.0};
   EXPECT_FALSE(
-      hm::sandbox::decode_serve_frame(hm::sandbox::encode_request(request))
+      decode_serve_frame(hm::sandbox::encode_request(request))
           .has_value());
 }
 

@@ -18,11 +18,12 @@
 #include <chrono>
 #include <thread>
 
+#include "common/frame.hpp"
 #include "hypermapper/optimizer.hpp"
-#include "sandbox/protocol.hpp"
 #include "serve/campaign.hpp"
 #include "serve/client.hpp"
 #include "serve/net.hpp"
+#include "serve/protocol.hpp"
 #include "serve/scenario.hpp"
 
 namespace hm::serve::testutil {
@@ -56,28 +57,28 @@ struct RawClient {
 
   [[nodiscard]] bool send(const std::string& kind,
                           std::vector<std::string> fields = {}) {
-    hm::sandbox::ServeFrame frame;
+    ServeFrame frame;
     frame.kind = kind;
     frame.fields = std::move(fields);
-    return hm::sandbox::write_frame(fd,
-                                    hm::sandbox::encode_serve_frame(frame));
+    return hm::common::write_frame(fd,
+                                    encode_serve_frame(frame));
   }
 
-  [[nodiscard]] std::optional<hm::sandbox::ServeFrame> read(
+  [[nodiscard]] std::optional<ServeFrame> read(
       double deadline_seconds) {
     std::string payload;
-    if (hm::sandbox::read_frame(fd, &payload, deadline_seconds) !=
-        hm::sandbox::FrameStatus::kOk) {
+    if (hm::common::read_frame(fd, &payload, deadline_seconds) !=
+        hm::common::FrameStatus::kOk) {
       return std::nullopt;
     }
-    return hm::sandbox::decode_serve_frame(payload);
+    return decode_serve_frame(payload);
   }
 
   /// hello/welcome handshake at the current protocol version.
   [[nodiscard]] bool handshake() {
     if (!send("hello",
               {"raw_test_client",
-               std::to_string(hm::sandbox::kServeProtocolVersion)})) {
+               std::to_string(kServeProtocolVersion)})) {
       return false;
     }
     const auto welcome = read(5.0);
@@ -86,7 +87,7 @@ struct RawClient {
 
   /// Reads frames until `kind` arrives (skipping progress etc.); nullopt on
   /// timeout/close.
-  [[nodiscard]] std::optional<hm::sandbox::ServeFrame> read_until(
+  [[nodiscard]] std::optional<ServeFrame> read_until(
       const std::string& kind, double deadline_seconds) {
     while (true) {
       auto frame = read(deadline_seconds);

@@ -51,55 +51,45 @@ void print_usage() {
 
 [[nodiscard]] std::string to_json(const hm::lint::LintReport& report,
                                   std::size_t baseline_filtered) {
-  using hm::common::json_escape;
-  std::string out = "{\n  \"files_scanned\": " +
-                    std::to_string(report.files_scanned) +
-                    ",\n  \"suppressed\": " +
-                    std::to_string(report.suppressed) +
-                    ",\n  \"baseline_filtered\": " +
-                    std::to_string(baseline_filtered) +
-                    ",\n  \"diagnostics\": [";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const auto& d = report.diagnostics[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"file\": \"" + json_escape(d.file) +
-           "\", \"line\": " + std::to_string(d.line) + ", \"rule\": \"" +
-           json_escape(d.rule_id) + "\", \"severity\": \"" +
-           hm::lint::to_string(d.severity) + "\", \"message\": \"" +
-           json_escape(d.message) + "\"}";
+  hm::common::JsonWriter json;
+  json.begin_object().key("files_scanned").integer(report.files_scanned);
+  json.key("suppressed").integer(report.suppressed);
+  json.key("baseline_filtered").integer(baseline_filtered);
+  json.key("diagnostics").begin_array();
+  for (const auto& d : report.diagnostics) {
+    json.begin_object().key("file").string(d.file);
+    json.key("line").integer(d.line).key("rule").string(d.rule_id);
+    json.key("severity").string(hm::lint::to_string(d.severity));
+    json.key("message").string(d.message).end_object();
   }
-  out += report.diagnostics.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  json.end_array().end_object();
+  return json.str();
 }
 
 /// SARIF 2.1.0 — the minimum GitHub code scanning ingests: one run, one
 /// driver, results with ruleId + message + physical location.
 [[nodiscard]] std::string to_sarif(const hm::lint::LintReport& report) {
-  using hm::common::json_escape;
-  std::string out =
-      "{\n"
-      "  \"$schema\": "
-      "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-      "  \"version\": \"2.1.0\",\n"
-      "  \"runs\": [{\n"
-      "    \"tool\": {\"driver\": {\"name\": \"hm_lint\", "
-      "\"informationUri\": \"DESIGN.md\"}},\n"
-      "    \"results\": [";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const auto& d = report.diagnostics[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "      {\"ruleId\": \"" + json_escape(d.rule_id) +
-           "\", \"level\": \"" +
-           (d.severity == hm::lint::Severity::kError ? "error" : "warning") +
-           "\", \"message\": {\"text\": \"" + json_escape(d.message) +
-           "\"}, \"locations\": [{\"physicalLocation\": "
-           "{\"artifactLocation\": {\"uri\": \"" +
-           json_escape(d.file) +
-           "\"}, \"region\": {\"startLine\": " +
-           std::to_string(d.line == 0 ? 1 : d.line) + "}}}]}";
+  hm::common::JsonWriter json;
+  json.begin_object().key("$schema").string(
+      "https://json.schemastore.org/sarif-2.1.0.json");
+  json.key("version").string("2.1.0").key("runs").begin_array();
+  json.begin_object().key("tool").begin_object().key("driver").begin_object();
+  json.key("name").string("hm_lint").key("informationUri").string("DESIGN.md");
+  json.end_object().end_object().key("results").begin_array();
+  for (const auto& d : report.diagnostics) {
+    json.begin_object().key("ruleId").string(d.rule_id);
+    json.key("level").string(
+        d.severity == hm::lint::Severity::kError ? "error" : "warning");
+    json.key("message").begin_object().key("text").string(d.message);
+    json.end_object().key("locations").begin_array().begin_object();
+    json.key("physicalLocation").begin_object().key("artifactLocation");
+    json.begin_object().key("uri").string(d.file).end_object();
+    json.key("region").begin_object().key("startLine");
+    json.integer(d.line == 0 ? 1 : d.line).end_object();
+    json.end_object().end_object().end_array().end_object();
   }
-  out += report.diagnostics.empty() ? "]\n  }]\n}\n" : "\n    ]\n  }]\n}\n";
-  return out;
+  json.end_array().end_object().end_array().end_object();
+  return json.str();
 }
 
 }  // namespace
