@@ -18,8 +18,7 @@ cd "$(hm_repo_root)"
 
 BUILD_DIR="${BUILD_DIR:-build-chaos}"
 
-HM_BUILD_TARGETS="sandbox_protocol_test sandbox_test crash_test
-  journal_test run_journal_test" \
+HM_BUILD_TARGETS="tests_sandbox tests_crash" \
   hm_configure_build "$BUILD_DIR" -DHM_SANITIZE=address
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
   hm_ctest "$BUILD_DIR" -L 'sandbox|crash'

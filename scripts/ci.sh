@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # One-shot CI gate: everything a merge must survive, in one script.
-#   1. tier-1: configure + build everything, run the full ctest suite
-#   2. lint:   hm_lint over the tree in JSON with the checked-in baseline —
-#              only NEW findings (or stale baseline entries surfaced by the
-#              lint ctest) fail the gate
-#   3. tsan:   scripts/tsan.sh — the "tsan"-labeled concurrency suite (plus
-#              simd/sandbox/serve labels) under ThreadSanitizer
+#   1. tier-1: configure + build everything, run the full ctest suite (this
+#              includes the "lint" label: the hm_lint_self tree scan and the
+#              linter's own tests)
+#   2. tsan:   scripts/tsan.sh — the "tsan"-labeled concurrency suite (plus
+#              simd/sandbox/serve/obs labels) under ThreadSanitizer
 # Each stage reuses its standard build tree (build/, build-tsan/), so local
-# runs are incremental. HM_CI_SKIP_TSAN=1 skips stage 3 (e.g. on hosts
+# runs are incremental. HM_CI_SKIP_TSAN=1 skips stage 2 (e.g. on hosts
 # where TSan is unavailable).
 set -euo pipefail
 source "$(dirname "$0")/common.sh"
@@ -18,11 +17,6 @@ BUILD_DIR="${BUILD_DIR:-build}"
 echo "== ci: tier-1 build + test =="
 hm_configure_build "$BUILD_DIR"
 hm_ctest "$BUILD_DIR"
-
-echo "== ci: lint (baseline-checked, json) =="
-"$BUILD_DIR"/tools/hm_lint/hm_lint --root . --quiet --format json \
-    --baseline tools/hm_lint/baseline.txt \
-    src bench examples tests tools
 
 if [[ "${HM_CI_SKIP_TSAN:-0}" == "0" ]]; then
   echo "== ci: tsan label =="

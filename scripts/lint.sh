@@ -1,49 +1,13 @@
 #!/usr/bin/env bash
 # Static-analysis job: builds the project-native linter (tools/hm_lint) and
 # runs the "lint" ctest label — the hm_lint_self scan of src/ bench/
-# examples/ tests/ tools/ plus the linter's own fixture tests. Exits nonzero
-# on any unsuppressed diagnostic or unused suppression.
-#
-# With --update-baseline, instead of gating it rewrites the checked-in
-# baseline (tools/hm_lint/baseline.txt) to the current unsuppressed
-# findings — use after deliberately landing a new cross-file rule whose
-# findings are being staged, then burn the entries down. The rewritten
-# file must be committed.
-#
-# With HM_CLANG_TIDY=1 (and clang-tidy on PATH) it additionally reconfigures
-# a dedicated build tree with the CMake clang-tidy hook enabled, so the
-# checked-in .clang-tidy checks (bugprone-*, concurrency-*, performance-*)
-# run over every translation unit as it compiles.
+# examples/ tests/ tools/ plus the linter's own tests. Exits nonzero on any
+# unsuppressed diagnostic or unused suppression.
 set -euo pipefail
 source "$(dirname "$0")/common.sh"
 cd "$(hm_repo_root)"
 
 BUILD_DIR="${BUILD_DIR:-build}"
 
-UPDATE_BASELINE=0
-for arg in "$@"; do
-  case "$arg" in
-    --update-baseline) UPDATE_BASELINE=1 ;;
-    *) echo "lint.sh: unknown argument '$arg'" >&2; exit 2 ;;
-  esac
-done
-
-HM_BUILD_TARGETS="hm_lint lint_test index_test" hm_configure_build "$BUILD_DIR"
-
-if [[ "$UPDATE_BASELINE" == "1" ]]; then
-  "$BUILD_DIR"/tools/hm_lint/hm_lint --root . \
-      --baseline tools/hm_lint/baseline.txt --update-baseline \
-      src bench examples tests tools
-  exit 0
-fi
-
+HM_BUILD_TARGETS="hm_lint tests_lint" hm_configure_build "$BUILD_DIR"
 hm_ctest "$BUILD_DIR" -L lint
-
-if [[ "${HM_CLANG_TIDY:-0}" != "0" ]]; then
-  if command -v clang-tidy >/dev/null 2>&1; then
-    TIDY_DIR="build-tidy"
-    HM_BUILD_TARGETS="" hm_configure_build "$TIDY_DIR" -DHM_CLANG_TIDY=ON
-  else
-    echo "lint.sh: HM_CLANG_TIDY set but clang-tidy not found; skipping" >&2
-  fi
-fi

@@ -27,9 +27,7 @@ cd "$(hm_repo_root)"
 
 BUILD_DIR="${BUILD_DIR:-build}"
 
-export HM_BUILD_TARGETS="hm_serve hm_tune serve_protocol_test serve_test
-  serve_recovery_test serve_obs_test obs_metrics_test obs_trace_test json_test
-  json_writer_test flight_recorder_test"
+export HM_BUILD_TARGETS="hm_serve hm_tune tests_serve tests_obs"
 hm_configure_build "$BUILD_DIR"
 hm_ctest "$BUILD_DIR" -L 'serve|obs'
 

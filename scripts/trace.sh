@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Observability job: builds the metrics/trace layer's tests and the
-# trace-overhead benchmark, runs the "obs" ctest label (metrics registry,
-# histogram bin boundaries, Chrome-trace round-trip), then runs
+# Observability job: builds the "obs"-labelled tests (target tests_obs) and
+# the trace-overhead benchmark, runs the "obs" ctest label (metrics
+# registry, histogram bin boundaries, Chrome-trace round-trip, flight
+# recorder, scrape endpoints, JSON writer), then runs
 # bench/trace_overhead on the KFusion frame loop and leaves its
 # BENCH_trace_overhead.json report in the build directory. The bench prints
 # the <2% enabled-vs-disabled acceptance line; it reports, it does not gate.
@@ -21,7 +22,7 @@ if [[ "${HM_TRACE:-ON}" == "OFF" ]]; then
   EXTRA_ARGS+=(-DHM_TRACE=OFF)
 fi
 
-HM_BUILD_TARGETS="obs_metrics_test obs_trace_test trace_overhead" \
+HM_BUILD_TARGETS="tests_obs trace_overhead" \
   hm_configure_build "$BUILD_DIR" "${EXTRA_ARGS[@]+"${EXTRA_ARGS[@]}"}"
 hm_ctest "$BUILD_DIR" -L obs
 

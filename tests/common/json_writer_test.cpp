@@ -9,12 +9,9 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,13 +36,6 @@ const std::string kHostile = "q\"b\\s\n\x01\x1f\xff|\xc3";
   auto document = parse_json(text, &error);
   EXPECT_TRUE(document.has_value()) << error << "\n" << text;
   return document.value_or(JsonValue{});
-}
-
-[[nodiscard]] std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 // --- the writer ------------------------------------------------------------
@@ -220,46 +210,6 @@ TEST(JsonEmitters, CampaignStatusWithHostileParkReason) {
   EXPECT_EQ(document.find("park_reason")->string.substr(0, 5), "q\"b\\s");
   campaign.reset();
   std::filesystem::remove_all(dir);
-}
-
-TEST(JsonEmitters, HmLintReportsWithHostileMessage) {
-  // The unused-suppression fixture with a hostile rule id: the diagnostic
-  // message quotes the id back.
-  std::string fixture =
-      read_file(HM_LINT_FIXTURE_DIR "/unused_suppression.cc");
-  const std::string rule = "allow(no-float-equality)";
-  const std::size_t at = fixture.find(rule);
-  ASSERT_NE(at, std::string::npos);
-  fixture.replace(at, rule.size(), "allow(" + kHostile.substr(0, 4) +
-                                       "\x01\xff\xc3)");
-  const std::string root = ::testing::TempDir() + "json_writer_test_lint";
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
-  std::ofstream(root + "/hostile.cpp", std::ios::binary) << fixture;
-
-  for (const std::string format : {"json", "sarif"}) {
-    SCOPED_TRACE(format);
-    const std::string out = root + "/report." + format;
-    const std::string command = std::string(HM_LINT_BIN) + " --root " +
-                                root + " --quiet --format " + format +
-                                " hostile.cpp > " + out;
-    // Exit status 1: the run found an error-severity diagnostic.
-    ASSERT_NE(std::system(command.c_str()), -1);
-    const JsonValue document = parse_strict(read_file(out));
-    const std::vector<JsonValue>& results =
-        format == "json"
-            ? document.find("diagnostics")->array
-            : document.find("runs")->array.at(0).find("results")->array;
-    bool quoted = false;
-    for (const JsonValue& result : results) {
-      const JsonValue* message = result.find("message");
-      const std::string& text =
-          format == "json" ? message->string : message->find("text")->string;
-      quoted = quoted || text.find("'q\"b\\") != std::string::npos;
-    }
-    EXPECT_TRUE(quoted) << read_file(out);
-  }
-  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 // Tests for hm_lint's pass-1 semantic index and the four cross-file rules
 // (lock-order-cycle, guarded-by, blocking-under-lock, fork-child-safety):
-// firing/quiet fixture pairs per rule, the two-TU deadlock fixture, index
-// serialization round-trips, baseline parsing/filtering, and suppression
-// of cross-file findings at their anchor line.
+// firing/quiet fixture pairs per rule, the two-TU deadlock fixture, and
+// suppression of cross-file findings at their anchor line.
 #include <algorithm>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -13,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "hm_lint/baseline.hpp"
-#include "hm_lint/index.hpp"
 #include "hm_lint/index_rules.hpp"
 #include "hm_lint/linter.hpp"
 #include "hm_lint/rule.hpp"
@@ -196,106 +192,6 @@ TEST(CrossFileSuppressionTest, AllowCommentSilencesIndexRuleAtAnchor) {
   EXPECT_TRUE(of_rule(diagnostics, "guarded-by").empty());
   // And the suppression is counted as used — no unused-suppression error.
   EXPECT_TRUE(of_rule(diagnostics, "unused-suppression").empty());
-}
-
-// --- index serialization -----------------------------------------------
-
-TEST(IndexSerializationTest, RoundTripsExactly) {
-  const auto context = hm::lint::make_context(
-      "fixture/roundtrip.cpp", read_fixture("blocking_under_lock_violation.cc"));
-  const hm::lint::FileIndex index = hm::lint::build_file_index(*context);
-  const std::string first = hm::lint::serialize(index);
-  const std::optional<hm::lint::FileIndex> parsed =
-      hm::lint::parse_file_index(first);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(hm::lint::serialize(*parsed), first);
-  EXPECT_EQ(parsed->path, index.path);
-  EXPECT_EQ(parsed->functions.size(), index.functions.size());
-}
-
-TEST(IndexSerializationTest, PreservesAnnotationsAndForkRegions) {
-  const auto context = hm::lint::make_context(
-      "fixture/spawn.cpp", read_fixture("fork_child_safety_clean.cc"));
-  const hm::lint::FileIndex index = hm::lint::build_file_index(*context);
-  const auto parsed = hm::lint::parse_file_index(hm::lint::serialize(index));
-  ASSERT_TRUE(parsed.has_value());
-  bool saw_signal_safe = false;
-  bool saw_fork_region = false;
-  for (const auto& fn : parsed->functions) {
-    saw_signal_safe |= fn.signal_safe;
-    saw_fork_region |= !fn.fork_regions.empty();
-  }
-  EXPECT_TRUE(saw_signal_safe);
-  EXPECT_TRUE(saw_fork_region);
-}
-
-TEST(IndexSerializationTest, RejectsMalformedInput) {
-  EXPECT_FALSE(hm::lint::parse_file_index("").has_value());
-  EXPECT_FALSE(hm::lint::parse_file_index("not-an-index\n").has_value());
-  EXPECT_FALSE(
-      hm::lint::parse_file_index("hm-lint-index v1\nbogus-tag 1 2\n")
-          .has_value());
-  // A nested line with no enclosing fn is malformed, not silently dropped.
-  EXPECT_FALSE(
-      hm::lint::parse_file_index("hm-lint-index v1\n call 1 - f -\n")
-          .has_value());
-}
-
-// --- baseline ----------------------------------------------------------
-
-TEST(BaselineTest, FiltersKnownFindingsAndReportsStaleness) {
-  std::vector<Diagnostic> diagnostics = {
-      {"src/a.cpp", 10, "guarded-by", "member 'x_' unguarded",
-       hm::lint::Severity::kError},
-      {"src/a.cpp", 20, "guarded-by", "member 'y_' unguarded",
-       hm::lint::Severity::kError},
-  };
-  const std::string body = hm::lint::serialize_baseline(
-      std::vector<Diagnostic>{diagnostics[0]});
-  auto baseline = hm::lint::parse_baseline(body);
-  ASSERT_TRUE(baseline.has_value());
-  EXPECT_EQ(baseline->size(), 1u);
-  const std::size_t filtered =
-      hm::lint::apply_baseline(*baseline, diagnostics);
-  EXPECT_EQ(filtered, 1u);
-  ASSERT_EQ(diagnostics.size(), 1u);  // only the unbaselined finding stays
-  EXPECT_EQ(diagnostics[0].line, 20u);
-  EXPECT_EQ(baseline->size(), 0u);  // fully consumed: nothing stale
-}
-
-TEST(BaselineTest, LineNumbersDoNotInvalidateEntries) {
-  // Baseline entries key on (rule, file, message) — a finding that drifted
-  // to another line is still the same finding.
-  std::vector<Diagnostic> original = {
-      {"src/a.cpp", 10, "blocking-under-lock", "fsync under 'mutex_'",
-       hm::lint::Severity::kError}};
-  auto baseline =
-      hm::lint::parse_baseline(hm::lint::serialize_baseline(original));
-  ASSERT_TRUE(baseline.has_value());
-  std::vector<Diagnostic> drifted = original;
-  drifted[0].line = 99;
-  EXPECT_EQ(hm::lint::apply_baseline(*baseline, drifted), 1u);
-  EXPECT_TRUE(drifted.empty());
-}
-
-TEST(BaselineTest, StaleEntriesSurviveApplication) {
-  std::vector<Diagnostic> fixed_finding = {
-      {"src/gone.cpp", 1, "guarded-by", "member 'z_' unguarded",
-       hm::lint::Severity::kError}};
-  auto baseline =
-      hm::lint::parse_baseline(hm::lint::serialize_baseline(fixed_finding));
-  ASSERT_TRUE(baseline.has_value());
-  std::vector<Diagnostic> none;
-  EXPECT_EQ(hm::lint::apply_baseline(*baseline, none), 0u);
-  EXPECT_EQ(baseline->size(), 1u);  // stale: the finding no longer exists
-}
-
-TEST(BaselineTest, MalformedBaselineIsRejected) {
-  EXPECT_FALSE(hm::lint::parse_baseline("rule-only-no-tabs\n").has_value());
-  // Comments and blank lines are fine.
-  const auto ok = hm::lint::parse_baseline("# comment\n\n");
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_EQ(ok->size(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // Tests for the hm_lint static-analysis tool: each rule has a firing and a
 // quiet fixture (stored as .cc/.hh so the self-lint walk ignores them; they
 // are linted here under synthetic .cpp/.hpp display paths), plus direct
-// tests of the tokenizer, glob matcher, suppression semantics, and
-// companion-header pairing.
+// tests of the tokenizer, suppression semantics, companion-header pairing,
+// and the binary's exit status.
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <ostream>
@@ -90,8 +94,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         RuleFixtureCase{"no-raw-thread", "no_raw_thread_violation.cc",
                         "no_raw_thread_clean.cc", "raw_thread", ".cpp"},
-        RuleFixtureCase{"no-nondet-seed", "no_nondet_seed_violation.cc",
-                        "no_nondet_seed_clean.cc", "nondet_seed", ".cpp"},
         RuleFixtureCase{"no-unordered-output-iteration",
                         "no_unordered_output_iteration_violation.cc",
                         "no_unordered_output_iteration_clean.cc",
@@ -110,10 +112,6 @@ INSTANTIATE_TEST_SUITE_P(
                         "no_adhoc_instrumentation_violation.cc",
                         "no_adhoc_instrumentation_clean.cc",
                         "adhoc_instrumentation", ".cpp"},
-        RuleFixtureCase{"no-unaligned-simd-load",
-                        "no_unaligned_simd_load_violation.cc",
-                        "no_unaligned_simd_load_clean.cc", "unaligned_simd",
-                        ".cpp"},
         RuleFixtureCase{"no-unguarded-syscall",
                         "no_unguarded_syscall_violation.cc",
                         "no_unguarded_syscall_clean.cc", "unguarded_syscall",
@@ -125,22 +123,6 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
-
-TEST(SeedRuleTest, WallClockSeedAndEntropyBothCounted) {
-  const auto diagnostics = lint_fixture("no_nondet_seed_violation.cc",
-                                        "fixture/nondet_seed.cpp");
-  // One for chrono-clock-as-seed, one for std::random_device.
-  EXPECT_EQ(count_rule(diagnostics, "no-nondet-seed"), 2u);
-}
-
-TEST(SimdLoadRuleTest, EveryAlignedTouchCountedAndUnalignedFormsExempt) {
-  const auto diagnostics = lint_fixture("no_unaligned_simd_load_violation.cc",
-                                        "fixture/unaligned_simd.cpp");
-  // Aligned load + store + stream intrinsics, plus the vector-type cast;
-  // the loadu/storeu forms in the clean fixture carry no alignment
-  // precondition and must not count (CleanStaysQuiet covers that side).
-  EXPECT_EQ(count_rule(diagnostics, "no-unaligned-simd-load"), 4u);
-}
 
 TEST(SuppressionTest, AllowCommentSilencesDiagnostic) {
   const auto diagnostics =
@@ -180,9 +162,9 @@ TEST(SuppressionTest, ProseMentioningSyntaxDoesNotRegister) {
 TEST(TokenAwarenessTest, RuleNamesInsideLiteralsAndCommentsDoNotFire) {
   const auto diagnostics = hm::lint::analyze_source(
       "fixture/literals.cpp",
-      "// std::thread and std::random_device discussed in a comment.\n"
+      "// std::thread and std::cerr discussed in a comment.\n"
       "const char* a = \"std::thread spawn\";\n"
-      "const char* b = R\"(std::random_device entropy)\";\n",
+      "const char* b = R\"(std::cerr << message)\";\n",
       hm::lint::default_rules());
   EXPECT_TRUE(diagnostics.empty());
 }
@@ -263,14 +245,6 @@ TEST(TokenizerTest, OperatorCallSyntaxStaysIntact) {
   EXPECT_EQ(*(it + 3), "(");
 }
 
-TEST(GlobTest, SegmentAndCrossSegmentWildcards) {
-  EXPECT_TRUE(hm::lint::glob_match("*.cpp", "src/common/csv.cpp"));
-  EXPECT_TRUE(hm::lint::glob_match("src/**/*.hpp", "src/kfusion/icp.hpp"));
-  EXPECT_FALSE(hm::lint::glob_match("src/*.hpp", "src/kfusion/icp.hpp"));
-  EXPECT_TRUE(hm::lint::glob_match("?ain.cpp", "main.cpp"));
-  EXPECT_FALSE(hm::lint::glob_match("*.cpp", "main.hpp"));
-}
-
 TEST(CompanionTest, HeaderMembersVisibleWhenLintingSource) {
   // The unordered container is declared in the header; the .cpp alone
   // cannot know `entries_`'s type. Companion pairing must carry it over.
@@ -299,7 +273,7 @@ TEST(CompanionTest, HeaderMembersVisibleWhenLintingSource) {
 
 TEST(RuleFilterTest, EveryRuleHasUniqueIdAndDescription) {
   const auto rules = hm::lint::default_rules();
-  ASSERT_EQ(rules.size(), 11u);
+  ASSERT_EQ(rules.size(), 9u);
   std::vector<std::string> ids;
   for (const auto& rule : rules) {
     ids.emplace_back(rule->id());
@@ -307,6 +281,59 @@ TEST(RuleFilterTest, EveryRuleHasUniqueIdAndDescription) {
   }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+// The gate itself: the ctest self-lint passes or fails on hm_lint's exit
+// status alone, so the binary must exit 1 on a finding and 2 on a usage
+// error, not merely print diagnostics. (hm_lint_self covers exit 0.)
+class CliTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // One root per case: ctest runs the cases as concurrent processes.
+    root_ = ::testing::TempDir() + "lint_cli_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(root_);
+    std::filesystem::create_directories(root_);
+  }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+
+  /// Copies a fixture into the scratch root under a name the walker lints.
+  void mount(const std::string& fixture, const std::string& name) const {
+    std::ofstream(root_ + "/" + name, std::ios::binary)
+        << read_fixture(fixture);
+  }
+
+  /// Runs the binary over the scratch root; returns its exit status and
+  /// leaves its stdout and stderr in `output_`.
+  int run(const std::string& args) {
+    const std::string out = root_ + "/stdout.txt";
+    const std::string command = std::string(HM_LINT_BIN) + " --root " +
+                                root_ + " " + args + " > " + out + " 2>&1";
+    const int status = std::system(command.c_str());
+    std::ifstream in(out);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    output_ = buffer.str();
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  std::string root_;
+  std::string output_;
+};
+
+TEST_F(CliTest, FindingExitsOne) {
+  mount("no_float_equality_violation.cc", "float_eq.cpp");
+  EXPECT_EQ(run("."), 1) << output_;
+  EXPECT_NE(output_.find("float_eq.cpp"), std::string::npos) << output_;
+  EXPECT_NE(output_.find("[no-float-equality]"), std::string::npos)
+      << output_;
+}
+
+TEST_F(CliTest, RemovedFlagExitsTwo) {
+  mount("no_float_equality_violation.cc", "float_eq.cpp");
+  EXPECT_EQ(run("--format json ."), 2) << output_;
+  EXPECT_NE(output_.find("unknown option '--format'"), std::string::npos)
+      << output_;
 }
 
 }  // namespace

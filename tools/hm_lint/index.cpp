@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <set>
-#include <sstream>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -902,184 +901,10 @@ class IndexBuilder {
   }
 };
 
-// --- serialization -----------------------------------------------------
-
-[[nodiscard]] std::string join_locks(const std::vector<std::string>& locks) {
-  if (locks.empty()) return "-";
-  std::string out;
-  for (const std::string& l : locks) {
-    if (!out.empty()) out += ',';
-    out += l;
-  }
-  return out;
-}
-
-[[nodiscard]] std::vector<std::string> split_locks(std::string_view field) {
-  std::vector<std::string> locks;
-  if (field == "-") return locks;
-  while (!field.empty()) {
-    const std::size_t comma = field.find(',');
-    locks.emplace_back(field.substr(0, comma));
-    if (comma == std::string_view::npos) break;
-    field.remove_prefix(comma + 1);
-  }
-  return locks;
-}
-
-[[nodiscard]] std::string opt(const std::string& s) {
-  return s.empty() ? "-" : s;
-}
-
-[[nodiscard]] std::string unopt(std::string_view s) {
-  return s == "-" ? std::string() : std::string(s);
-}
-
-/// Splits a line into whitespace-separated fields; the field at
-/// `tail_from` (if any) absorbs the rest of the line verbatim.
-[[nodiscard]] std::vector<std::string> fields_of(std::string_view line,
-                                                 std::size_t tail_from) {
-  std::vector<std::string> fields;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    if (i >= line.size()) break;
-    if (fields.size() + 1 == tail_from) {
-      fields.emplace_back(line.substr(i));
-      break;
-    }
-    const std::size_t end = line.find(' ', i);
-    fields.emplace_back(
-        line.substr(i, end == std::string_view::npos ? line.size() - i
-                                                     : end - i));
-    if (end == std::string_view::npos) break;
-    i = end;
-  }
-  return fields;
-}
-
 }  // namespace
 
 FileIndex build_file_index(const FileContext& context) {
   return IndexBuilder(context).build();
-}
-
-std::string serialize(const FileIndex& index) {
-  std::ostringstream out;
-  out << "hm-lint-index v1\n";
-  out << "file " << index.path << "\n";
-  out << "test " << (index.is_test ? 1 : 0) << "\n";
-  for (const MutexDecl& m : index.mutexes) {
-    out << "mutex " << m.line << ' ' << opt(m.scope) << ' ' << m.name << "\n";
-  }
-  for (const GuardedMember& g : index.guarded) {
-    out << "guarded " << g.line << ' ' << opt(g.scope) << ' ' << g.name << ' '
-        << g.mutex << "\n";
-  }
-  for (const HandlerRegistration& h : index.handlers) {
-    out << "handler " << h.line << ' ' << h.handler << "\n";
-  }
-  for (const FunctionDef& fn : index.functions) {
-    out << "fn " << fn.line << ' ' << fn.end_line << ' ' << opt(fn.scope)
-        << ' ' << fn.name << ' ' << (fn.signal_safe ? 1 : 0);
-    if (fn.signal_safe && !fn.signal_safe_reason.empty()) {
-      out << ' ' << fn.signal_safe_reason;
-    }
-    out << "\n";
-    for (const CallSite& c : fn.calls) {
-      out << " call " << c.line << ' ' << opt(c.qualifier) << ' ' << c.callee
-          << ' ' << join_locks(c.locks_held) << ' ' << (c.member ? 1 : 0)
-          << "\n";
-    }
-    for (const LockAcquisition& a : fn.acquisitions) {
-      out << " acq " << a.line << ' ' << a.expr << ' '
-          << join_locks(a.held_before) << "\n";
-    }
-    for (const MemberTouch& t : fn.touches) {
-      out << " touch " << t.line << ' ' << opt(t.qualifier) << ' ' << t.name
-          << ' ' << join_locks(t.locks_held) << "\n";
-    }
-    for (const ForkRegion& r : fn.fork_regions) {
-      out << " fork " << r.fork_line << ' ' << r.begin_line << ' '
-          << r.end_line << "\n";
-    }
-  }
-  return out.str();
-}
-
-std::optional<FileIndex> parse_file_index(std::string_view text) {
-  FileIndex index;
-  FunctionDef* fn = nullptr;
-  std::size_t line_no = 0;
-  std::size_t i = 0;
-  bool saw_header = false;
-  while (i <= text.size()) {
-    const std::size_t end = text.find('\n', i);
-    const std::string_view line =
-        text.substr(i, end == std::string_view::npos ? text.size() - i
-                                                     : end - i);
-    i = end == std::string_view::npos ? text.size() + 1 : end + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    if (line_no == 1) {
-      if (line != "hm-lint-index v1") return std::nullopt;
-      saw_header = true;
-      continue;
-    }
-    const bool nested = line.front() == ' ';
-    const std::vector<std::string> f = fields_of(
-        line, line.rfind("fn ", 0) == 0 ? 6 : static_cast<std::size_t>(-1));
-    if (f.empty()) continue;
-    const std::string& tag = f[0];
-    const auto num = [&](std::size_t k) -> std::size_t {
-      return k < f.size() ? static_cast<std::size_t>(
-                                std::strtoull(f[k].c_str(), nullptr, 10))
-                          : 0;
-    };
-    if (!nested) {
-      fn = nullptr;
-      if (tag == "file" && f.size() >= 2) {
-        index.path = f[1];
-      } else if (tag == "test" && f.size() >= 2) {
-        index.is_test = f[1] == "1";
-      } else if (tag == "mutex" && f.size() >= 4) {
-        index.mutexes.push_back({unopt(f[2]), f[3], num(1)});
-      } else if (tag == "guarded" && f.size() >= 5) {
-        index.guarded.push_back({unopt(f[2]), f[3], f[4], num(1)});
-      } else if (tag == "handler" && f.size() >= 3) {
-        index.handlers.push_back({f[2], num(1)});
-      } else if (tag == "fn" && f.size() >= 5) {
-        FunctionDef def;
-        def.line = num(1);
-        def.end_line = num(2);
-        def.scope = unopt(f[3]);
-        def.name = f[4];
-        def.signal_safe = f.size() >= 6 && f[5].rfind('1', 0) == 0;
-        if (f.size() >= 6 && def.signal_safe && f[5].size() > 2) {
-          def.signal_safe_reason = f[5].substr(2);
-        }
-        index.functions.push_back(std::move(def));
-        fn = &index.functions.back();
-      } else {
-        return std::nullopt;
-      }
-      continue;
-    }
-    if (fn == nullptr) return std::nullopt;
-    if (tag == "call" && f.size() >= 5) {
-      fn->calls.push_back({f[3], unopt(f[2]), num(1), split_locks(f[4]),
-                           f.size() >= 6 && f[5] == "1"});
-    } else if (tag == "acq" && f.size() >= 4) {
-      fn->acquisitions.push_back({f[2], num(1), split_locks(f[3])});
-    } else if (tag == "touch" && f.size() >= 5) {
-      fn->touches.push_back({f[3], unopt(f[2]), num(1), split_locks(f[4])});
-    } else if (tag == "fork" && f.size() >= 4) {
-      fn->fork_regions.push_back({num(1), num(2), num(3)});
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (!saw_header) return std::nullopt;
-  return index;
 }
 
 // --- ProjectIndex ------------------------------------------------------

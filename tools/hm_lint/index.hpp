@@ -23,16 +23,10 @@
 /// resolution (which class's `mutex_` a raw expression denotes) happens in
 /// pass 2 against the merged `ProjectIndex`, so per-TU indexing stays
 /// embarrassingly parallel and deterministic.
-///
-/// A `FileIndex` serializes to a line-oriented text form (`serialize` /
-/// `parse_file_index`) so indexes can be persisted per-TU (`--index-dir`)
-/// and diffed; the format round-trips exactly.
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hm_lint/rule.hpp"
@@ -140,14 +134,6 @@ struct FileIndex {
 
 /// Build the index for one tokenized file.
 [[nodiscard]] FileIndex build_file_index(const FileContext& context);
-
-/// Deterministic text serialization (round-trips through
-/// `parse_file_index`).
-[[nodiscard]] std::string serialize(const FileIndex& index);
-
-/// Parse the output of `serialize`. Returns std::nullopt on malformed
-/// input.
-[[nodiscard]] std::optional<FileIndex> parse_file_index(std::string_view text);
 
 /// The merged project-wide index plus the resolution tables pass 2 needs.
 class ProjectIndex {

@@ -6,11 +6,9 @@
 #include <iterator>
 #include <optional>
 #include <sstream>
-#include <string_view>
 #include <system_error>
 #include <utility>
 
-#include "common/atomic_file.hpp"
 #include "common/thread_pool.hpp"
 #include "hm_lint/index.hpp"
 #include "hm_lint/suppression.hpp"
@@ -32,14 +30,6 @@ namespace {
   return path;
 }
 
-[[nodiscard]] bool matches_any(const std::vector<std::string>& globs,
-                               std::string_view path) {
-  for (const std::string& g : globs) {
-    if (glob_match(g, path)) return true;
-  }
-  return false;
-}
-
 [[nodiscard]] std::optional<std::string> read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
@@ -49,18 +39,17 @@ namespace {
 }
 
 /// Collects the root-relative paths to lint, sorted for determinism.
-[[nodiscard]] std::vector<std::string> collect_files(const LintOptions& options,
-                                                     std::vector<Diagnostic>& io_errors) {
+[[nodiscard]] std::vector<std::string> collect_files(
+    const fs::path& root, const std::vector<std::string>& paths,
+    std::vector<Diagnostic>& io_errors) {
   std::vector<std::string> files;
-  const fs::path root(options.root);
   const auto consider = [&](const fs::path& file) {
     std::string rel = to_forward_slashes(
         fs::relative(file, root).generic_string());
-    if (!matches_any(options.include_globs, rel)) return;
-    if (matches_any(options.exclude_globs, rel)) return;
+    if (!rel.ends_with(".cpp") && !rel.ends_with(".hpp")) return;
     files.push_back(std::move(rel));
   };
-  for (const std::string& entry : options.paths) {
+  for (const std::string& entry : paths) {
     const fs::path path = root / entry;
     std::error_code ec;
     if (fs::is_regular_file(path, ec)) {
@@ -90,57 +79,6 @@ namespace {
   return files;
 }
 
-[[nodiscard]] std::vector<std::shared_ptr<const Rule>> filter_rules(
-    const std::vector<std::shared_ptr<const Rule>>& rules,
-    const std::vector<std::string>& filter) {
-  if (filter.empty()) return rules;
-  std::vector<std::shared_ptr<const Rule>> kept;
-  for (const auto& rule : rules) {
-    for (const std::string& id : filter) {
-      if (rule->id() == id) {
-        kept.push_back(rule);
-        break;
-      }
-    }
-  }
-  return kept;
-}
-
-[[nodiscard]] std::vector<std::shared_ptr<const IndexRule>>
-filter_index_rules(
-    const std::vector<std::shared_ptr<const IndexRule>>& rules,
-    const std::vector<std::string>& filter) {
-  if (filter.empty()) return rules;
-  std::vector<std::shared_ptr<const IndexRule>> kept;
-  for (const auto& rule : rules) {
-    for (const std::string& id : filter) {
-      if (rule->id() == id) {
-        kept.push_back(rule);
-        break;
-      }
-    }
-  }
-  return kept;
-}
-
-struct FileOutcome {
-  std::vector<Diagnostic> diagnostics;
-  std::size_t suppressed = 0;
-};
-
-[[nodiscard]] FileOutcome analyze_context(
-    const FileContext& context,
-    const std::vector<std::shared_ptr<const Rule>>& rules) {
-  FileOutcome outcome;
-  for (const auto& rule : rules) {
-    rule->check(context, outcome.diagnostics);
-  }
-  outcome.suppressed = apply_suppressions(
-      context, collect_suppressions(context), outcome.diagnostics);
-  std::sort(outcome.diagnostics.begin(), outcome.diagnostics.end());
-  return outcome;
-}
-
 /// Pass-1 result for one file: pre-suppression diagnostics plus the
 /// context (kept alive for suppression application after pass 2) and the
 /// file's semantic index.
@@ -152,12 +90,12 @@ struct PassOneOutcome {
 
 [[nodiscard]] PassOneOutcome pass_one(
     std::shared_ptr<const FileContext> context,
-    const std::vector<std::shared_ptr<const Rule>>& rules, bool build_index) {
+    const std::vector<std::shared_ptr<const Rule>>& rules) {
   PassOneOutcome outcome;
   for (const auto& rule : rules) {
     rule->check(*context, outcome.diagnostics);
   }
-  if (build_index) outcome.index = build_file_index(*context);
+  outcome.index = build_file_index(*context);
   outcome.context = std::move(context);
   return outcome;
 }
@@ -170,16 +108,14 @@ struct PassOneOutcome {
 [[nodiscard]] std::vector<Diagnostic> finish_passes(
     std::vector<PassOneOutcome>& outcomes,
     const std::vector<std::shared_ptr<const IndexRule>>& index_rules,
-    bool cross_file, std::size_t& suppressed_total) {
+    std::size_t& suppressed_total) {
+  std::vector<FileIndex> indexes;
+  indexes.reserve(outcomes.size());
+  for (PassOneOutcome& o : outcomes) indexes.push_back(std::move(o.index));
+  const ProjectIndex project = ProjectIndex::merge(std::move(indexes));
   std::vector<Diagnostic> index_diagnostics;
-  if (cross_file) {
-    std::vector<FileIndex> indexes;
-    indexes.reserve(outcomes.size());
-    for (PassOneOutcome& o : outcomes) indexes.push_back(std::move(o.index));
-    const ProjectIndex project = ProjectIndex::merge(std::move(indexes));
-    for (const auto& rule : index_rules) {
-      rule->check(project, index_diagnostics);
-    }
+  for (const auto& rule : index_rules) {
+    rule->check(project, index_diagnostics);
   }
 
   std::vector<Diagnostic> all;
@@ -215,44 +151,9 @@ bool LintReport::clean() const {
   return true;
 }
 
-bool glob_match(std::string_view pattern, std::string_view path) {
-  // A pattern without '/' matches against the basename only.
-  if (pattern.find('/') == std::string_view::npos) {
-    const std::size_t slash = path.rfind('/');
-    if (slash != std::string_view::npos) path = path.substr(slash + 1);
-  }
-  // Recursive match with memo-free backtracking; patterns are tiny.
-  const auto match = [](auto&& self, std::string_view p,
-                        std::string_view s) -> bool {
-    while (true) {
-      if (p.empty()) return s.empty();
-      if (p.size() >= 2 && p[0] == '*' && p[1] == '*') {
-        // `**` crosses segments; collapse any following '/'.
-        std::string_view rest = p.substr(2);
-        if (!rest.empty() && rest[0] == '/') rest.remove_prefix(1);
-        for (std::size_t k = 0; k <= s.size(); ++k) {
-          if (self(self, rest, s.substr(k))) return true;
-        }
-        return false;
-      }
-      if (p[0] == '*') {
-        for (std::size_t k = 0; k <= s.size(); ++k) {
-          if (k > 0 && s[k - 1] == '/') break;  // '*' stays in one segment.
-          if (self(self, p.substr(1), s.substr(k))) return true;
-        }
-        return false;
-      }
-      if (s.empty()) return false;
-      if (p[0] == '?' ? s[0] == '/' : p[0] != s[0]) return false;
-      p.remove_prefix(1);
-      s.remove_prefix(1);
-    }
-  };
-  return match(match, pattern, path);
-}
-
-std::shared_ptr<const FileContext> make_context(std::string path,
-                                                std::string source) {
+std::shared_ptr<const FileContext> make_context(
+    std::string path, std::string source,
+    std::shared_ptr<const FileContext> companion) {
   auto context = std::make_shared<FileContext>();
   context->path = std::move(path);
   context->source = std::move(source);
@@ -260,6 +161,7 @@ std::shared_ptr<const FileContext> make_context(std::string path,
     (token.kind == TokenKind::kComment ? context->comments : context->tokens)
         .push_back(token);
   }
+  context->companion = std::move(companion);
   return context;
 }
 
@@ -267,15 +169,13 @@ std::vector<Diagnostic> analyze_source(
     std::string path, std::string source,
     const std::vector<std::shared_ptr<const Rule>>& rules,
     std::shared_ptr<const FileContext> companion) {
-  FileContext context;
-  context.path = std::move(path);
-  context.source = std::move(source);
-  for (Token& token : tokenize(context.source)) {
-    (token.kind == TokenKind::kComment ? context.comments : context.tokens)
-        .push_back(token);
-  }
-  context.companion = std::move(companion);
-  return analyze_context(context, rules).diagnostics;
+  const auto context =
+      make_context(std::move(path), std::move(source), std::move(companion));
+  std::vector<Diagnostic> diagnostics;
+  for (const auto& rule : rules) rule->check(*context, diagnostics);
+  apply_suppressions(*context, collect_suppressions(*context), diagnostics);
+  std::sort(diagnostics.begin(), diagnostics.end());
+  return diagnostics;
 }
 
 std::vector<Diagnostic> analyze_project(
@@ -285,85 +185,51 @@ std::vector<Diagnostic> analyze_project(
   std::vector<PassOneOutcome> outcomes;
   outcomes.reserve(files.size());
   for (auto& [path, source] : files) {
-    outcomes.push_back(pass_one(
-        make_context(std::move(path), std::move(source)), rules, true));
+    outcomes.push_back(
+        pass_one(make_context(std::move(path), std::move(source)), rules));
   }
   std::size_t suppressed = 0;
-  return finish_passes(outcomes, index_rules, true, suppressed);
+  return finish_passes(outcomes, index_rules, suppressed);
 }
 
-LintReport run_lint(const LintOptions& options,
-                    const std::vector<std::shared_ptr<const Rule>>& rules,
-                    hm::common::ThreadPool* pool,
-                    const std::vector<std::shared_ptr<const IndexRule>>&
-                        index_rules) {
+LintReport run_lint(
+    const std::string& root, const std::vector<std::string>& paths,
+    const std::vector<std::shared_ptr<const Rule>>& rules,
+    const std::vector<std::shared_ptr<const IndexRule>>& index_rules) {
   LintReport report;
-  const std::vector<std::shared_ptr<const Rule>> active =
-      filter_rules(rules, options.rule_filter);
-  const std::vector<std::shared_ptr<const IndexRule>> active_index =
-      filter_index_rules(index_rules, options.rule_filter);
-  // With an explicit --rule filter naming only per-file rules, pass 2 has
-  // nothing to run and the index build is wasted work — unless the caller
-  // asked to persist indexes.
-  const bool run_pass_two = options.cross_file && !active_index.empty();
-  const bool cross_file = run_pass_two || !options.index_dir.empty();
+  const fs::path root_path(root);
   const std::vector<std::string> files =
-      collect_files(options, report.diagnostics);
+      collect_files(root_path, paths, report.diagnostics);
   report.files_scanned = files.size();
 
   std::vector<PassOneOutcome> outcomes(files.size());
-  const fs::path root(options.root);
   const auto analyze_one = [&](std::size_t i) {
-    const std::optional<std::string> source = read_file(root / files[i]);
+    std::optional<std::string> source = read_file(root_path / files[i]);
     if (!source) {
       outcomes[i].context = make_context(files[i], "");
       outcomes[i].diagnostics.push_back(
           {files[i], 0, "io-error", "cannot read file", Severity::kError});
       return;
     }
-    auto context = std::make_shared<FileContext>();
-    context->path = files[i];
-    context->source = *source;
-    for (Token& token : tokenize(context->source)) {
-      (token.kind == TokenKind::kComment ? context->comments : context->tokens)
-          .push_back(token);
-    }
     // Pair a .cpp with its sibling header so member declarations are
     // visible to cross-TU rules (unordered-container members).
-    if (files[i].size() > 4 &&
-        files[i].compare(files[i].size() - 4, 4, ".cpp") == 0) {
-      const std::string header_rel = files[i].substr(0, files[i].size() - 4) + ".hpp";
-      if (std::optional<std::string> header = read_file(root / header_rel)) {
-        context->companion = make_context(header_rel, std::move(*header));
+    std::shared_ptr<const FileContext> companion;
+    if (files[i].ends_with(".cpp")) {
+      const std::string header_rel =
+          files[i].substr(0, files[i].size() - 4) + ".hpp";
+      if (std::optional<std::string> header =
+              read_file(root_path / header_rel)) {
+        companion = make_context(header_rel, std::move(*header));
       }
     }
-    outcomes[i] = pass_one(std::move(context), active, cross_file);
+    outcomes[i] = pass_one(
+        make_context(files[i], std::move(*source), std::move(companion)),
+        rules);
   };
-
-  if (pool != nullptr && files.size() > 1) {
-    pool->parallel_for(0, files.size(), analyze_one);
-  } else {
-    for (std::size_t i = 0; i < files.size(); ++i) analyze_one(i);
-  }
-
-  if (!options.index_dir.empty()) {
-    std::error_code ec;
-    fs::create_directories(options.index_dir, ec);
-    for (const PassOneOutcome& outcome : outcomes) {
-      std::string name = outcome.index.path;
-      std::replace(name.begin(), name.end(), '/', '_');
-      const std::string target =
-          (fs::path(options.index_dir) / (name + ".idx")).string();
-      if (!hm::common::write_file_atomic(target, serialize(outcome.index))) {
-        report.diagnostics.push_back({outcome.index.path, 0, "io-error",
-                                      "cannot write index file " + target,
-                                      Severity::kError});
-      }
-    }
-  }
+  hm::common::ThreadPool::global().parallel_for(0, files.size(), analyze_one);
 
   std::vector<Diagnostic> merged =
-      finish_passes(outcomes, active_index, run_pass_two, report.suppressed);
+      finish_passes(outcomes, index_rules, report.suppressed);
   std::move(merged.begin(), merged.end(),
             std::back_inserter(report.diagnostics));
   std::sort(report.diagnostics.begin(), report.diagnostics.end());

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,33 +23,7 @@
 #include "hm_lint/index_rules.hpp"
 #include "hm_lint/rule.hpp"
 
-namespace hm::common {
-class ThreadPool;
-}  // namespace hm::common
-
 namespace hm::lint {
-
-struct LintOptions {
-  std::string root = ".";  ///< Paths and globs are resolved against this.
-  /// Tree entries to lint, relative to root (files or directories).
-  std::vector<std::string> paths = {"."};
-  /// A file is linted if its root-relative path matches any include glob
-  /// (`*` stays within a path segment, `**` crosses segments, `?` matches
-  /// one character; a pattern without '/' is matched against the basename).
-  std::vector<std::string> include_globs = {"*.cpp", "*.hpp"};
-  /// ...and no exclude glob. Build trees are always skipped.
-  std::vector<std::string> exclude_globs;
-  /// When non-empty, only rules with these ids run (applies to per-file
-  /// and cross-file rules alike).
-  std::vector<std::string> rule_filter;
-  /// Run the cross-file index rules (pass 2). Disabling this restores the
-  /// PR 3 single-pass behavior.
-  bool cross_file = true;
-  /// When non-empty, each file's serialized semantic index is persisted
-  /// here (atomically) as `<path-with-slashes-as-__>.idx` for debugging
-  /// and diffing.
-  std::string index_dir;
-};
 
 struct LintReport {
   std::vector<Diagnostic> diagnostics;  ///< Unsuppressed, sorted.
@@ -61,9 +34,6 @@ struct LintReport {
   [[nodiscard]] bool clean() const;
 };
 
-/// Gitignore-style glob match (see LintOptions::include_globs).
-[[nodiscard]] bool glob_match(std::string_view pattern, std::string_view path);
-
 /// Analyzes one in-memory source under a display path. This is the
 /// unit-test entry point: no filesystem involved, suppressions applied.
 [[nodiscard]] std::vector<Diagnostic> analyze_source(
@@ -71,10 +41,11 @@ struct LintReport {
     const std::vector<std::shared_ptr<const Rule>>& rules,
     std::shared_ptr<const FileContext> companion = nullptr);
 
-/// Builds a FileContext (tokenized, comments split out) for reuse by
-/// analyze_source callers that need a companion header.
+/// Builds a FileContext (tokenized, comments split out). Every context the
+/// linter analyzes is built here; tests use it for companion headers.
 [[nodiscard]] std::shared_ptr<const FileContext> make_context(
-    std::string path, std::string source);
+    std::string path, std::string source,
+    std::shared_ptr<const FileContext> companion = nullptr);
 
 /// Analyzes a set of in-memory sources as one project: per-file rules,
 /// merged semantic index, cross-file rules, then suppressions over the
@@ -85,13 +56,13 @@ struct LintReport {
     const std::vector<std::shared_ptr<const Rule>>& rules,
     const std::vector<std::shared_ptr<const IndexRule>>& index_rules);
 
-/// Walks and lints the tree. `pool` may be null (serial). Deterministic:
-/// the same tree yields the same report regardless of thread count.
+/// Walks `paths` (files or directories relative to `root`; build trees and
+/// .git are skipped) and lints every *.cpp / *.hpp found, per-file on the
+/// global thread pool. Deterministic: the same tree yields the same report
+/// regardless of thread count.
 [[nodiscard]] LintReport run_lint(
-    const LintOptions& options,
+    const std::string& root, const std::vector<std::string>& paths,
     const std::vector<std::shared_ptr<const Rule>>& rules,
-    hm::common::ThreadPool* pool,
-    const std::vector<std::shared_ptr<const IndexRule>>& index_rules =
-        default_index_rules());
+    const std::vector<std::shared_ptr<const IndexRule>>& index_rules);
 
 }  // namespace hm::lint

@@ -1,13 +1,12 @@
-// The initial hm-lint rule set: each rule encodes an invariant the last
-// PRs made load-bearing (single parallel substrate, deterministic seeds,
-// order-stable exports, results that must not be dropped, no accidental
-// float equality, headers that include what they use). Rules work on the
-// token stream, so literals and comments can never trigger them.
+// The per-file hm-lint rule set: each rule encodes an invariant the code
+// relies on (single parallel substrate, order-stable exports, results that
+// must not be dropped, no accidental float equality, headers that include
+// what they use, crash-atomic exports, one timing substrate, hardened
+// syscalls, one logging substrate). Rules work on the token stream, so
+// literals and comments can never trigger them.
 #include "hm_lint/rule.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstddef>
 #include <map>
 #include <set>
@@ -21,38 +20,6 @@ namespace {
 
 [[nodiscard]] bool path_contains(const FileContext& file, std::string_view part) {
   return file.path.find(part) != std::string::npos;
-}
-
-[[nodiscard]] bool path_starts_with(const FileContext& file,
-                                    std::string_view prefix) {
-  return file.path.rfind(prefix, 0) == 0;
-}
-
-/// Index range [first, last) of the statement enclosing token `i`: from the
-/// token after the previous `;`/`{`/`}` through the next `;`. Used to judge
-/// context ("is there a seed nearby?") without real parsing.
-[[nodiscard]] std::pair<std::size_t, std::size_t> statement_around(
-    const std::vector<Token>& tokens, std::size_t i) {
-  std::size_t first = i;
-  while (first > 0) {
-    const Token& t = tokens[first - 1];
-    if (t.is(";") || t.is("{") || t.is("}")) break;
-    --first;
-  }
-  std::size_t last = i;
-  while (last < tokens.size() && !tokens[last].is(";") &&
-         !tokens[last].is("{")) {
-    ++last;
-  }
-  return {first, last};
-}
-
-[[nodiscard]] std::string lowercase(std::string_view text) {
-  std::string out(text);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -90,88 +57,7 @@ class NoRawThreadRule final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// Rule 2: no-nondet-seed
-// ---------------------------------------------------------------------------
-
-/// Bit-identical reruns require every RNG seed to be a fixed constant or
-/// derived deterministically (config_hash, retry nonces). Wall-clock or
-/// hardware entropy in a seed silently breaks reproducibility.
-class NoNondetSeedRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view id() const override { return "no-nondet-seed"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "time()/random_device/chrono clock used as an RNG seed "
-           "(non-reproducible) outside src/common/timer.hpp and bench/";
-  }
-
-  void check(const FileContext& file, std::vector<Diagnostic>& out) const override {
-    if (path_contains(file, "src/common/timer.hpp") ||
-        path_starts_with(file, "bench/")) {
-      return;
-    }
-    const auto& tokens = file.tokens;
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      const Token& t = tokens[i];
-      if (t.is_identifier("random_device")) {
-        report(file, t.line,
-               "std::random_device is hardware entropy: seeds must be "
-               "deterministic (fixed constant or config_hash-derived)",
-               out);
-        continue;
-      }
-      if (t.is_identifier("srand") && i + 1 < tokens.size() &&
-          tokens[i + 1].is("(")) {
-        report(file, t.line,
-               "srand() seeds the C RNG non-deterministically by convention; "
-               "use hm::common rngs with explicit seeds",
-               out);
-        continue;
-      }
-      const bool wall_time_call =
-          (t.is_identifier("time") && i + 1 < tokens.size() &&
-           tokens[i + 1].is("(") && (i == 0 || !tokens[i - 1].is(".")) &&
-           (i == 0 || !tokens[i - 1].is("->"))) ||
-          (t.is_identifier("now") && i > 1 && tokens[i - 1].is("::") &&
-           clock_ish(tokens[i - 2].text));
-      if (wall_time_call && seeds_nearby(tokens, i)) {
-        report(file, t.line,
-               "wall-clock value feeds an RNG seed; reruns will not be "
-               "bit-identical — derive the seed deterministically",
-               out);
-      }
-    }
-  }
-
- private:
-  [[nodiscard]] static bool clock_ish(std::string_view name) {
-    if (name.size() >= 5 && name.substr(name.size() - 5) == "clock") return true;
-    return name.size() >= 5 && name.substr(name.size() - 5) == "Clock";
-  }
-
-  /// True when the enclosing statement mentions a seed or RNG engine — the
-  /// signal that the clock value is being used as a seed rather than as a
-  /// timestamp/deadline.
-  [[nodiscard]] static bool seeds_nearby(const std::vector<Token>& tokens,
-                                         std::size_t i) {
-    static const std::set<std::string, std::less<>> kEngines = {
-        "mt19937",      "mt19937_64", "default_random_engine",
-        "minstd_rand",  "minstd_rand0", "srand",
-        "Rng",          "rng",        "xoshiro256",
-        "splitmix64"};
-    const auto [first, last] = statement_around(tokens, i);
-    for (std::size_t k = first; k < last; ++k) {
-      if (tokens[k].kind != TokenKind::kIdentifier) continue;
-      if (kEngines.count(tokens[k].text) > 0) return true;
-      if (lowercase(tokens[k].text).find("seed") != std::string::npos) {
-        return true;
-      }
-    }
-    return false;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Rule 3: no-unordered-output-iteration
+// Rule 2: no-unordered-output-iteration
 // ---------------------------------------------------------------------------
 
 /// unordered_map/unordered_set iteration order is unspecified and varies
@@ -300,7 +186,7 @@ class NoUnorderedOutputIterationRule final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// Rule 4: nodiscard-result
+// Rule 3: nodiscard-result
 // ---------------------------------------------------------------------------
 
 /// The fault-tolerance layer only works if nobody silently drops a typed
@@ -427,7 +313,7 @@ class NodiscardResultRule final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// Rule 5: no-float-equality
+// Rule 4: no-float-equality
 // ---------------------------------------------------------------------------
 
 /// ==/!= against a floating-point literal (or a zero-initialized float
@@ -505,7 +391,7 @@ class NoFloatEqualityRule final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// Rule 6: include-hygiene
+// Rule 5: include-hygiene
 // ---------------------------------------------------------------------------
 
 /// Headers must directly include the standard headers for the std symbols
@@ -724,7 +610,7 @@ class IncludeHygieneRule final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// Rule 7: no-bare-export-stream
+// Rule 6: no-bare-export-stream
 // ---------------------------------------------------------------------------
 
 /// Every artifact export must go through hm::common::write_file_atomic so a
@@ -810,7 +696,7 @@ class NoBareExportStreamRule final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// Rule 8: no-adhoc-instrumentation
+// Rule 7: no-adhoc-instrumentation
 // ---------------------------------------------------------------------------
 
 /// All duration measurement flows through the timing substrate —
@@ -862,97 +748,10 @@ class NoAdhocInstrumentationRule final : public Rule {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Rule 9: no-unaligned-simd-load
-// ---------------------------------------------------------------------------
-
-/// Aligned SIMD load/store intrinsics (_mm*_load_*, _mm*_store_*,
-/// _mm*_stream_*) fault — or, worse, silently misread — when the pointer is
-/// not 16/32-byte aligned, and a reinterpret_cast to a raw vector type makes
-/// the same promise implicitly. Only src/common/simd.hpp may make that
-/// promise: its vload/vstore wrappers are written against the containers'
-/// alignment contract (64-byte row starts, guard-band padding) and use
-/// unaligned instructions wherever that contract does not reach. Everywhere
-/// else, vector memory access goes through hm::simd.
-class NoUnalignedSimdLoadRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view id() const override {
-    return "no-unaligned-simd-load";
-  }
-  [[nodiscard]] std::string_view description() const override {
-    return "raw SIMD load/store intrinsic or reinterpret_cast to a vector "
-           "type outside src/common/simd.hpp; go through hm::simd::vload/"
-           "vstore, which encode the alignment contract";
-  }
-
-  void check(const FileContext& file, std::vector<Diagnostic>& out) const override {
-    if (path_contains(file, "src/common/simd.hpp")) return;
-    const auto& tokens = file.tokens;
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      const Token& t = tokens[i];
-      if (t.kind != TokenKind::kIdentifier) continue;
-      if (aligned_memory_intrinsic(t.text)) {
-        report(file, t.line,
-               "raw " + std::string(t.text) +
-                   " assumes pointer alignment nobody proved; use "
-                   "hm::simd::vload/vstore (the wrappers pair every access "
-                   "with the Image/volume alignment contract)",
-               out);
-        continue;
-      }
-      if (t.is_identifier("reinterpret_cast") && i + 1 < tokens.size() &&
-          tokens[i + 1].is("<")) {
-        const std::string_view vec = vector_type_in_cast(tokens, i + 1);
-        if (!vec.empty()) {
-          report(file, t.line,
-                 "reinterpret_cast to " + std::string(vec) +
-                     " asserts vector alignment implicitly; only "
-                     "src/common/simd.hpp may reinterpret memory as vector "
-                     "lanes",
-                 out);
-        }
-      }
-    }
-  }
-
- private:
-  /// x86 aligned (or streaming, which is also alignment-requiring) vector
-  /// memory intrinsics: `_mm…_load_…` / `_mm…_store_…` / `_mm…_stream_…`.
-  /// The unaligned forms spell it `loadu`/`storeu`, so the underscore-bounded
-  /// substring match cannot confuse them.
-  [[nodiscard]] static bool aligned_memory_intrinsic(std::string_view name) {
-    if (name.rfind("_mm", 0) != 0) return false;
-    return name.find("_load_") != std::string_view::npos ||
-           name.find("_store_") != std::string_view::npos ||
-           name.find("_stream_") != std::string_view::npos;
-  }
-
-  /// If the template argument list opening at `open` (`<`) names a raw
-  /// vector type, returns that type name; empty view otherwise.
-  [[nodiscard]] static std::string_view vector_type_in_cast(
-      const std::vector<Token>& tokens, std::size_t open) {
-    static const std::array<std::string_view, 15> kVectorTypes = {
-        "__m128",      "__m128d",     "__m128i",    "__m256",     "__m256d",
-        "__m256i",     "__m512",      "__m512d",    "__m512i",
-        "float32x4_t", "float32x2_t", "int32x4_t",  "uint32x4_t",
-        "int16x8_t",   "uint8x16_t"};
-    std::size_t depth = 1;
-    for (std::size_t k = open + 1; k < tokens.size() && depth > 0; ++k) {
-      if (tokens[k].is("<")) ++depth;
-      if (tokens[k].is(">")) --depth;
-      if (tokens[k].kind != TokenKind::kIdentifier) continue;
-      for (const std::string_view type : kVectorTypes) {
-        if (tokens[k].text == type) return type;
-      }
-    }
-    return {};
-  }
-};
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Rule 10: no-unguarded-syscall
+// Rule 8: no-unguarded-syscall
 // ---------------------------------------------------------------------------
 
 /// Raw POSIX I/O and process-control calls are where EINTR bugs and orphan
@@ -1036,7 +835,7 @@ class NoUnguardedSyscallRule final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// Rule 11: no-bare-stderr
+// Rule 9: no-bare-stderr
 // ---------------------------------------------------------------------------
 
 /// Diagnostics written straight to stderr (std::cerr, fprintf(stderr, ...),
@@ -1092,14 +891,12 @@ class NoBareStderrRule final : public Rule {
 std::vector<std::shared_ptr<const Rule>> default_rules() {
   return {
       std::make_shared<NoRawThreadRule>(),
-      std::make_shared<NoNondetSeedRule>(),
       std::make_shared<NoUnorderedOutputIterationRule>(),
       std::make_shared<NodiscardResultRule>(),
       std::make_shared<NoFloatEqualityRule>(),
       std::make_shared<IncludeHygieneRule>(),
       std::make_shared<NoBareExportStreamRule>(),
       std::make_shared<NoAdhocInstrumentationRule>(),
-      std::make_shared<NoUnalignedSimdLoadRule>(),
       std::make_shared<NoUnguardedSyscallRule>(),
       std::make_shared<NoBareStderrRule>(),
   };
