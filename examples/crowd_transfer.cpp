@@ -4,23 +4,26 @@
 //
 //   ./crowd_transfer [--frames N] [--devices N] [--installs N]
 //                    [--dropout R] [--noisy R] [--noise SIGMA]
-//                    [--journal campaign.wal] [--resume]
+//                    [--dir DIR [--resume]]
 //                    [--sandbox] [--eval-timeout SECONDS]
-//                    [--eval-mem-limit MB]
 //                    [--trace out.json] [--metrics out.txt|out.json]
 //
-// --sandbox/--eval-timeout/--eval-mem-limit run the tuning stage's
-// evaluations in forked worker processes with hard kill and resource caps
-// (see sandbox_cli.hpp).
+// The tuning stage is a scenario (serve/scenario.hpp) run through
+// serve::Campaign, the way hm_tune runs one: KFusion on the ODROID model
+// over a --frames sequence. --sandbox sets its "sandbox" key, running the
+// evaluations in forked worker processes, and --eval-timeout its
+// "deadlines" key (a timeout implies the sandbox, whose workers enforce it
+// with SIGKILL).
 //
 // --trace/--metrics export the run's spans and counter/histogram snapshot
 // (see observability.hpp for the formats).
 //
-// With --journal, both stages are resumable: the tuning run journals to
-// <path>.tune and the per-device campaign to <path>, so a run killed at
-// any point — mid-tuning or mid-fleet — restarts with --resume and picks
-// up from the last completed evaluation/device. SIGINT stops cleanly at
-// the next boundary.
+// With --dir, both stages are resumable: the tuning campaign journals into
+// DIR as crowd_tune.scenario.json + crowd_tune.wal and the per-device
+// campaign into DIR/fleet.wal, so a run killed at any point — mid-tuning or
+// mid-fleet — finishes with --dir DIR --resume from the last completed
+// evaluation/device. SIGINT stops cleanly at the next boundary. Without
+// --dir both journals go to a temporary directory removed at exit.
 //
 // --installs models the paper's crowd funnel (2000 installs -> 83 usable):
 // it sets the population size, while --dropout is the fraction of installs
@@ -28,92 +31,148 @@
 // timings carry log-normal noise of sigma --noise. Noisy devices stay in
 // the pool; the trimmed mean keeps their outliers from skewing the
 // aggregate speedup.
+#include <stdlib.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/journal.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/signal.hpp"
 #include "common/stats.hpp"
 #include "crowd/crowd_experiment.hpp"
 #include "crowd/device_population.hpp"
 #include "dataset/sequence.hpp"
-#include "hypermapper/optimizer.hpp"
 #include "hypermapper/report.hpp"
 #include "kernel_report.hpp"
 #include "observability.hpp"
-#include "sandbox_cli.hpp"
+#include "serve/campaign.hpp"
 #include "slambench/adapters.hpp"
+
+namespace {
+
+constexpr const char* kTuningCampaign = "crowd_tune";
+
+/// The tuning stage's scenario: KFusion on the ODROID model over a
+/// `frames`-frame sequence, with this walkthrough's seed and budget.
+[[nodiscard]] std::string tuning_scenario(const hm::common::CliArgs& args,
+                                          std::size_t frames) {
+  const double eval_timeout = args.get_or("eval-timeout", 0.0);
+  hm::common::JsonWriter json;
+  json.begin_object().key("name").string(kTuningCampaign);
+  json.key("seed").integer(42);
+  json.key("evaluator").begin_object().key("kind").string("kfusion");
+  json.key("device").string("odroid").key("frames").integer(frames);
+  json.end_object();
+  json.key("budget").begin_object().key("random_samples").integer(60);
+  json.key("max_iterations").integer(2);
+  json.key("max_samples_per_iteration").integer(40);
+  json.key("pool_size").integer(10'000).key("tree_count").integer(32);
+  json.end_object();
+  json.key("sandbox").boolean(args.flag("sandbox") || eval_timeout > 0.0);
+  json.key("deadlines").begin_object().key("eval_seconds").number(eval_timeout);
+  json.end_object().end_object();
+  return json.str();
+}
+
+/// Opens the tuning campaign in `dir`, or recovers it with --resume.
+[[nodiscard]] std::unique_ptr<hm::serve::Campaign> open_tuning(
+    const hm::common::CliArgs& args, const std::string& dir,
+    std::size_t frames, std::string* error) {
+  using hm::serve::Campaign;
+  if (args.flag("resume")) return Campaign::recover(dir, kTuningCampaign, error);
+  // A fresh run never appends to an existing campaign's journal.
+  if (std::filesystem::exists(Campaign::sidecar_path(dir, kTuningCampaign))) {
+    *error = dir + " already holds a run; finish it with --dir " + dir +
+             " --resume";
+    return nullptr;
+  }
+  auto scenario =
+      hm::serve::parse_scenario(tuning_scenario(args, frames), error);
+  if (!scenario) return nullptr;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  return Campaign::open(dir, std::move(*scenario), error);
+}
+
+/// A fresh temporary directory, removed with its contents on destruction.
+class TempDir {
+ public:
+  TempDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "crowd_transfer.XXXXXX")
+            .string();
+    if (::mkdtemp(pattern.data()) != nullptr) path_ = pattern;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace hm;
   const common::CliArgs args(argc, argv, {"resume", "sandbox"});
   const auto observability = examples::Observability::from_args(args);
-  const auto frames =
-      static_cast<std::size_t>(args.get_or("frames", std::int64_t{25}));
-  const auto journal_path = args.get("journal");
-  const bool resume = args.flag("resume");
-  if (resume && !journal_path) {
-    hm::common::log_error() << "--resume requires --journal PATH";
+  const auto dir_arg = args.get("dir");
+  if (args.flag("resume") && !dir_arg) {
+    hm::common::log_error() << "--resume requires --dir DIR";
     return 1;
   }
-
-  const auto sequence =
-      dataset::make_benchmark_sequence(frames, 80, 60, nullptr, false);
-  slambench::KFusionEvaluator evaluator(sequence, slambench::odroid_xu3());
-
-  // --- Tune on the reference embedded device. ---
-  std::printf("tuning KFusion on %s...\n", evaluator.device().name.c_str());
-  hypermapper::OptimizerConfig config;
-  config.random_samples = 60;
-  config.max_iterations = 2;
-  config.max_samples_per_iteration = 40;
-  config.pool_size = 10'000;
-  config.forest.tree_count = 32;
-  auto sandbox = examples::SandboxCli::from_args(args);
-  hypermapper::Evaluator& tuned_evaluator = sandbox.wrap(evaluator);
-  // The global pool parallelises batch evaluation (the evaluator is
-  // thread-safe); the merge order keeps the result deterministic.
-  hypermapper::Optimizer optimizer(evaluator.space(), tuned_evaluator, config,
-                                   &common::ThreadPool::global());
-  common::JournalWriter tune_journal;
-  if (journal_path) {
-    std::string journal_error;
-    if (!tune_journal.open(*journal_path + ".tune", &journal_error)) {
-      hm::common::log_error() << "cannot open journal " << *journal_path
-                              << ".tune: " << journal_error;
-      return 1;
-    }
-    optimizer.attach_journal(&tune_journal);
+  std::optional<TempDir> temp_dir;
+  if (dir_arg) {
     if (!common::install_shutdown_handler()) {
       hm::common::log_warn() << "cannot install signal handlers";
     }
-    optimizer.set_cancel([] { return common::shutdown_requested(); });
-  }
-  std::optional<hypermapper::OptimizationResult> run_result;
-  if (resume) {
-    run_result = optimizer.resume(*journal_path + ".tune");
-    if (!run_result) {
-      hm::common::log_error() << "cannot resume tuning from "
-                              << *journal_path << ".tune";
+  } else {
+    temp_dir.emplace();
+    if (temp_dir->path().empty()) {
+      hm::common::log_error() << "cannot create a temporary directory";
       return 1;
     }
-  } else {
-    run_result = optimizer.run();
   }
-  const auto& result = *run_result;
-  if (result.interrupted) {
-    std::printf("tuning interrupted after %zu evaluations; rerun with "
-                "--journal %s --resume to finish\n",
-                result.samples.size(), journal_path->c_str());
-    sandbox.report_and_shutdown();
+  const std::string dir = dir_arg ? *dir_arg : temp_dir->path();
+
+  // --- Tune on the reference embedded device. ---
+  std::string error;
+  const auto tuning = open_tuning(
+      args, dir,
+      static_cast<std::size_t>(args.get_or("frames", std::int64_t{25})),
+      &error);
+  if (tuning == nullptr) {
+    hm::common::log_error() << "tuning campaign: " << error;
+    return 1;
+  }
+  // A resumed run measures on the sequence the campaign was tuned on.
+  const std::size_t frames = tuning->scenario().frames;
+  const auto sequence =
+      dataset::make_benchmark_sequence(frames, 80, 60, nullptr, false);
+  slambench::KFusionEvaluator evaluator(sequence, slambench::odroid_xu3());
+  std::printf("tuning KFusion on %s...\n", evaluator.device().name.c_str());
+  // The global pool parallelises batch evaluation; the merge order keeps
+  // the result deterministic.
+  tuning->run(&common::ThreadPool::global(),
+              [] { return common::shutdown_requested(); });
+  if (tuning->state() != serve::Campaign::State::kDone) {
+    std::printf("tuning interrupted; rerun with --dir %s --resume to "
+                "finish\n", dir.c_str());
     return 130;
   }
-  // The tuning stage is where untrusted configurations run; the fleet
-  // replay below only re-measures the chosen one.
-  sandbox.report_and_shutdown();
+  const hypermapper::OptimizationResult& result = *tuning->result();
 
   const auto best = hypermapper::best_under_constraint(result, 0, 1, 0.05);
   if (!best) {
@@ -141,36 +200,28 @@ int main(int argc, char** argv) {
   flaky.dropout_rate = args.get_or("dropout", 0.0);
   flaky.noisy_rate = args.get_or("noisy", 0.0);
   flaky.noise_sigma = args.get_or("noise", flaky.noise_sigma);
-  crowd::CrowdResult crowd_result;
-  if (journal_path) {
-    crowd::CrowdJournalInfo info;
-    std::string campaign_error;
-    const auto journaled = crowd::run_crowd_experiment_journaled(
-        devices, default_metrics.stats, tuned_metrics.stats, frames, flaky,
-        *journal_path, &info, &campaign_error,
-        [] { return common::shutdown_requested(); });
-    if (!journaled) {
-      hm::common::log_error() << "campaign journal error: "
-                              << campaign_error;
-      return 1;
-    }
-    crowd_result = *journaled;
-    if (info.replayed_devices > 0) {
-      std::printf("campaign resumed: %zu devices replayed from the journal, "
-                  "%zu measured\n",
-                  info.replayed_devices, info.measured_devices);
-    }
-    if (crowd_result.interrupted) {
-      // The same cooperative-shutdown code every driver (and hm_serve)
-      // exits with; the journal resumes the fleet from the next device.
-      std::printf("campaign interrupted after %zu devices; rerun with "
-                  "--journal %s --resume to finish\n",
-                  info.measured_devices, journal_path->c_str());
-      return 130;
-    }
-  } else {
-    crowd_result = crowd::run_crowd_experiment(
-        devices, default_metrics.stats, tuned_metrics.stats, frames, flaky);
+  crowd::CrowdJournalInfo info;
+  const auto journaled = crowd::run_crowd_experiment_journaled(
+      devices, default_metrics.stats, tuned_metrics.stats, frames, flaky,
+      dir + "/fleet.wal", &info, &error,
+      [] { return common::shutdown_requested(); });
+  if (!journaled) {
+    hm::common::log_error() << "campaign journal error: " << error;
+    return 1;
+  }
+  const crowd::CrowdResult& crowd_result = *journaled;
+  if (info.replayed_devices > 0) {
+    std::printf("campaign resumed: %zu devices replayed from the journal, "
+                "%zu measured\n",
+                info.replayed_devices, info.measured_devices);
+  }
+  if (crowd_result.interrupted) {
+    // The same cooperative-shutdown code every driver (and hm_serve) exits
+    // with; the journal resumes the fleet from the next device.
+    std::printf("campaign interrupted after %zu devices; rerun with "
+                "--dir %s --resume to finish\n",
+                info.measured_devices, dir.c_str());
+    return 130;
   }
 
   std::printf("\ncrowd funnel: %zu installs -> %zu usable "

@@ -8,10 +8,10 @@
 //   ./hm_tune --port 7421 --resume my-campaign | --ping
 //
 // In-process, the campaign runs through the same serve::Campaign the daemon
-// hosts, journaled into --dir as <id>.scenario.json + <id>.wal: each batch
-// is evaluated on the global pool and delivered in slot order. SIGINT or
-// SIGTERM parks it after the in-flight batch; --resume finishes it to the
-// byte-identical report. The report goes to --report (atomic) or stdout;
+// hosts, journaled into --dir as <id>.scenario.json + <id>.wal, and
+// Campaign::run evaluates each batch on the global pool. SIGINT or SIGTERM
+// parks it once the evaluations in flight finish; --resume finishes it to
+// the byte-identical report. The report goes to --report (atomic) or stdout;
 // --out (in-process only) also writes the front CSV adaptive_runtime
 // reads. A served --trace is the merged client/daemon/worker timeline.
 //
@@ -25,12 +25,10 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/atomic_file.hpp"
 #include "common/csv.hpp"
 #include "common/signal.hpp"
-#include "common/timer.hpp"
 #include "hypermapper/report.hpp"
 #include "observability.hpp"
 #include "serve/campaign.hpp"
@@ -170,8 +168,7 @@ int run_served(const CliArgs& args, const Observability& observability) {
   return Campaign::open(dir, std::move(*scenario), error);
 }
 
-/// Runs the campaign in this process: pump, evaluate the batch on the
-/// global pool, deliver in slot order — the daemon's loop for one campaign.
+/// Runs the campaign in this process: Campaign::run over the global pool.
 int run_local(const CliArgs& args, const Observability& observability) {
   using hm::serve::Campaign;
   const std::string dir = args.get_or("dir", std::string("campaigns"));
@@ -183,29 +180,7 @@ int run_local(const CliArgs& args, const Observability& observability) {
   }
 
   auto& pool = hm::common::ThreadPool::global();
-  const hm::common::Timer timer;
-  while (true) {
-    if (hm::common::shutdown_requested()) {
-      campaign->park("interrupted");
-    } else if (campaign->deadline_expired()) {
-      campaign->park("campaign deadline");
-    }
-    const std::vector<Campaign::Dispatch> batch = campaign->pump();
-    if (batch.empty()) break;  // Done or parked.
-    hm::common::log_info() << "evaluating " << batch.size()
-                           << " configurations (" << campaign->sample_count()
-                           << " measured, front " << campaign->front_size()
-                           << ", " << static_cast<long>(timer.seconds())
-                           << "s)";
-    std::vector<hm::hypermapper::EvaluationOutcome> outcomes(batch.size());
-    pool.parallel_for(0, batch.size(), [&](std::size_t i) {
-      outcomes[i] = campaign->evaluate(batch[i].config);
-    });
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      campaign->deliver(batch[i].slot, std::move(outcomes[i]));
-    }
-  }
-
+  campaign->run(&pool, [] { return hm::common::shutdown_requested(); });
   if (campaign->state() != Campaign::State::kDone) {
     hm::common::log_error() << "hm_tune: campaign " << campaign->id()
                             << " parked (" << campaign->park_reason()

@@ -239,14 +239,11 @@ void Optimizer::AsyncRun::open_batch(std::vector<Configuration> configs,
   std::lock_guard<std::mutex> lock(batch_mutex_);
   outcomes_.assign(batch_configs_.size(), EvaluationOutcome{});
   slot_state_.assign(batch_configs_.size(), kSlotPending);
-  unresolved_ = 0;
   for (std::size_t i = 0; i < batch_configs_.size(); ++i) {
     if (replay_ != nullptr &&
         replay_->tail.contains(opt_.replay_key(batch_configs_[i]))) {
       // Journaled by the crashed run: resolved up front, never dispatched.
       slot_state_[i] = kSlotReplayed;
-    } else {
-      ++unresolved_;
     }
   }
   batch_open_ = true;
@@ -269,24 +266,12 @@ void Optimizer::AsyncRun::ingest(std::size_t slot, EvaluationOutcome outcome) {
   if (slot >= slot_state_.size() || slot_state_[slot] != kSlotPending) return;
   outcomes_[slot] = std::move(outcome);
   slot_state_[slot] = kSlotIngested;
-  --unresolved_;
 }
 
 void Optimizer::AsyncRun::skip(std::size_t slot) {
   std::lock_guard<std::mutex> lock(batch_mutex_);
   if (slot >= slot_state_.size() || slot_state_[slot] != kSlotPending) return;
   slot_state_[slot] = kSlotSkipped;
-  --unresolved_;
-}
-
-bool Optimizer::AsyncRun::batch_resolved() const {
-  std::lock_guard<std::mutex> lock(batch_mutex_);
-  return !batch_open_ || unresolved_ == 0;
-}
-
-std::size_t Optimizer::AsyncRun::outstanding() const {
-  std::lock_guard<std::mutex> lock(batch_mutex_);
-  return batch_open_ ? unresolved_ : 0;
 }
 
 void Optimizer::AsyncRun::commit_batch() {
@@ -302,7 +287,6 @@ void Optimizer::AsyncRun::commit_batch() {
     slots = std::move(slot_state_);
     outcomes_.clear();
     slot_state_.clear();
-    unresolved_ = 0;
   }
 
   // Merge sequentially in slot order: the sample and quarantine streams
@@ -583,14 +567,17 @@ OptimizationResult Optimizer::AsyncRun::finish() {
   return std::move(result_);
 }
 
-// --- Synchronous drivers over AsyncRun. ---
+// --- The synchronous drive loop and the drivers over it. ---
 
-void Optimizer::drive(AsyncRun& session) {
+void drive(Optimizer::AsyncRun& session, hm::common::ThreadPool* pool,
+           const std::function<EvaluationOutcome(const Configuration&)>&
+               evaluate,
+           const std::function<bool()>& stop) {
+  const auto stopped = [&stop] { return stop && stop(); };
   while (true) {
-    // Loop-top cancellation: an open batch commits normally (stats, phase
-    // boundary) before the run is marked interrupted, exactly like the
-    // synchronous loop's iteration-top probe did.
-    if (cancel_requested()) {
+    // Loop-top stop: an open batch commits normally (stats, phase boundary)
+    // before the run is marked interrupted.
+    if (stopped()) {
       session.interrupt();
       return;
     }
@@ -599,20 +586,28 @@ void Optimizer::drive(AsyncRun& session) {
     const hm::common::TraceSpan batch_span("evaluate_batch", "dse");
     auto evaluate_one = [&](std::size_t j) {
       const std::size_t slot = batch->pending[j];
-      if (cancel_requested()) {
+      if (stopped()) {
         session.skip(slot);
         return;
       }
-      session.ingest(slot, supervisor_.evaluate_outcome(batch->configs[slot]));
+      session.ingest(slot, evaluate(batch->configs[slot]));
     };
-    if (pool_ != nullptr && evaluator_.thread_safe()) {
-      pool_->parallel_for(0, batch->pending.size(), evaluate_one);
+    if (pool != nullptr) {
+      pool->parallel_for(0, batch->pending.size(), evaluate_one);
     } else {
       for (std::size_t j = 0; j < batch->pending.size(); ++j) {
         evaluate_one(j);
       }
     }
   }
+}
+
+void Optimizer::drive_session(AsyncRun& session) {
+  drive(session, evaluator_.thread_safe() ? pool_ : nullptr,
+        [this](const Configuration& config) {
+          return supervisor_.evaluate_outcome(config);
+        },
+        cancel_);
 }
 
 std::unique_ptr<Optimizer::AsyncRun> Optimizer::start_async() {
@@ -693,7 +688,7 @@ std::unique_ptr<Optimizer::AsyncRun> Optimizer::resume_async(
 
 OptimizationResult Optimizer::run() {
   std::unique_ptr<AsyncRun> session = start_async();
-  drive(*session);
+  drive_session(*session);
   return session->finish();
 }
 
@@ -701,7 +696,7 @@ std::optional<OptimizationResult> Optimizer::resume(
     const std::string& journal_path) {
   std::unique_ptr<AsyncRun> session = resume_async(journal_path);
   if (session == nullptr) return std::nullopt;
-  drive(*session);
+  drive_session(*session);
   return session->finish();
 }
 
@@ -710,7 +705,7 @@ OptimizationResult Optimizer::run_random_only() {
   start.record_stats = false;
   start.bootstrap_only = true;
   AsyncRun session(*this, std::move(start));
-  drive(session);
+  drive_session(session);
   OptimizationResult result = session.finish();
   result.random_phase_pareto = measured_front(result);
   result.pareto = result.random_phase_pareto;

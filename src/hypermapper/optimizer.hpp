@@ -7,9 +7,11 @@
 //
 // The search core is batch-asynchronous: Optimizer::AsyncRun proposes one
 // candidate batch at a time and folds evaluation outcomes back in as they
-// land, in any order and from any thread. run()/resume()/run_random_only()
-// are thin synchronous drivers over it; hm_serve drives many AsyncRuns from
-// one event loop, dispatching their batches on the shared ThreadPool. The
+// land, in any order and from any thread. drive() is the one synchronous
+// loop over it (propose a batch, measure it, fold the results back in):
+// run()/resume()/run_random_only() and serve::Campaign::run (hm_tune,
+// crowd_transfer) all call it. Only hm_serve keeps its own event loop,
+// because it multiplexes many AsyncRuns over the shared ThreadPool. The
 // result stream stays deterministic regardless of completion order because
 // outcomes are merged in slot order at batch commit, which is also the
 // journal's seq order — a served, crashed, resumed campaign reproduces the
@@ -189,7 +191,8 @@ class Optimizer {
   /// Runs only the random bootstrap phase (used by the sampling ablation).
   [[nodiscard]] OptimizationResult run_random_only();
 
-  /// Batch-asynchronous tuning session. The driver loop is:
+  /// Batch-asynchronous tuning session; drive() below is the synchronous
+  /// driver. The loop is:
   ///
   ///   auto session = optimizer.start_async();
   ///   while (auto batch = session->next_batch()) {
@@ -205,7 +208,7 @@ class Optimizer {
   /// the sample/quarantine/journal streams are identical no matter what
   /// order outcomes landed in — then proposes the next one. A batch with
   /// unresolved slots at commit time marks the run interrupted, exactly
-  /// like cooperative cancellation in the synchronous drivers.
+  /// like a stop that skips slots in drive().
   class AsyncRun;
 
   /// Starts a fresh batch-async run (the journaled run() path). At most one
@@ -232,14 +235,10 @@ class Optimizer {
   std::vector<Configuration> make_pool(hm::common::Rng& rng) const;
   [[nodiscard]] std::vector<std::size_t> measured_front(
       const OptimizationResult& result) const;
-  /// Synchronous driver over an AsyncRun: dispatches every pending slot
-  /// (on the ThreadPool when the evaluator allows), honoring the
-  /// cooperative cancellation probe.
-  void drive(AsyncRun& session);
+  /// drive() over the supervision wrapper, on the ThreadPool when the
+  /// evaluator allows, honoring the cooperative cancellation probe.
+  void drive_session(AsyncRun& session);
 
-  [[nodiscard]] bool cancel_requested() const {
-    return cancel_ && cancel_();
-  }
   [[nodiscard]] std::uint64_t replay_key(const Configuration& config) const;
   /// Rebuilds pareto/random_phase_pareto from samples (resume of a
   /// finished run; identical to the archive-incremental computation).
@@ -289,15 +288,10 @@ class Optimizer::AsyncRun {
   /// batch commit will mark the run interrupted. Thread-safe.
   void skip(std::size_t slot);
 
-  /// True when no proposed slot is still awaiting ingest()/skip().
-  [[nodiscard]] bool batch_resolved() const;
-  /// Pending slots of the current batch not yet resolved.
-  [[nodiscard]] std::size_t outstanding() const;
-
   /// Stops the run: commits the in-flight batch (a fully resolved batch
   /// commits normally — stats, phase boundary — exactly like the loop-top
-  /// cancellation in the synchronous driver) and marks the result
-  /// interrupted unless the run had already completed. Driver thread only.
+  /// stop in drive()) and marks the result interrupted unless the run had
+  /// already completed. Driver thread only.
   void interrupt();
 
   /// Finalizes and returns the result (computes the fronts, appends the
@@ -382,7 +376,19 @@ class Optimizer::AsyncRun {
   mutable std::mutex batch_mutex_;
   std::vector<EvaluationOutcome> outcomes_;  // hm-guarded-by(batch_mutex_)
   std::vector<unsigned char> slot_state_;    // hm-guarded-by(batch_mutex_)
-  std::size_t unresolved_ = 0;               // hm-guarded-by(batch_mutex_)
 };
+
+/// The synchronous drive loop. Until the session is over: if `stop` fires,
+/// interrupt the session (an open batch commits normally first) and
+/// return; otherwise take the next batch, evaluate its pending slots on
+/// `pool` (serially when null) and ingest each outcome. `stop` is also
+/// polled before each evaluation, which skips the slot instead. Either way
+/// the journal holds every completed evaluation, so a stopped session
+/// resumes byte-identically. `evaluate` must be thread-safe when a pool is
+/// given, and `stop` may be empty.
+void drive(Optimizer::AsyncRun& session, hm::common::ThreadPool* pool,
+           const std::function<EvaluationOutcome(const Configuration&)>&
+               evaluate,
+           const std::function<bool()>& stop);
 
 }  // namespace hm::hypermapper

@@ -213,6 +213,30 @@ std::vector<Campaign::Dispatch> Campaign::pump() {
   }
 }
 
+void Campaign::run(hm::common::ThreadPool* pool,
+                   const std::function<bool()>& stop) {
+  if (state_ != State::kRunning) return;
+  const hm::common::LogContextScope log_context(id());
+  optimizer_->set_progress([this](const hm::hypermapper::IterationStats& s) {
+    hm::common::log_info() << "iteration " << s.iteration << ": "
+                           << s.new_samples << " new samples, "
+                           << s.failed_samples << " failed, front "
+                           << s.measured_front_size << " ("
+                           << static_cast<long>(clock_.seconds()) << "s)";
+  });
+  hm::hypermapper::drive(
+      *session_, pool,
+      [this](const hm::hypermapper::Configuration& config) {
+        return evaluate(config);
+      },
+      [this, &stop] { return deadline_expired() || (stop && stop()); });
+  if (session_->interrupted()) {
+    park(deadline_expired() ? "campaign deadline" : "interrupted");
+  } else {
+    finalize_done();
+  }
+}
+
 EvaluationOutcome Campaign::evaluate(
     const hm::hypermapper::Configuration& config) {
   // Pool-thread context: stamp the campaign's trace id on every span this

@@ -16,13 +16,19 @@
 //                  |     +-> running  (client `resume` re-opens the journal)
 //                  +-> shed happens before admission (typed `busy` reply)
 //
+// Two drivers: the server's event loop multiplexes campaigns through
+// pump()/deliver(); a single in-process campaign (hm_tune, crowd_transfer)
+// calls run(), which is hypermapper::drive over the same session.
+//
 // Threading: every method except evaluate() is driver-thread-only (the
-// server's event loop). evaluate() is the pool-thread entry point; it only
-// touches the supervision wrapper, which is thread-safe.
+// server's event loop, or run()'s caller). evaluate() is the pool-thread
+// entry point; it only touches the supervision wrapper, which is
+// thread-safe.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,6 +36,7 @@
 
 #include "common/journal.hpp"
 #include "common/json.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "hypermapper/optimizer.hpp"
 #include "sandbox/sandbox.hpp"
@@ -82,6 +89,15 @@ class Campaign {
   /// on in-flight slots, parked, or done). Transitions to kDone/kParked
   /// internally. Driver thread only.
   [[nodiscard]] std::vector<Dispatch> pump();
+
+  /// Runs the campaign in this process until it settles: drives the
+  /// session through hypermapper::drive, evaluating each batch on `pool`
+  /// (serially when null) through evaluate(). Parks with "campaign
+  /// deadline" once the deadline expires and with "interrupted" when
+  /// `stop` fires; either may skip the rest of the batch in flight, which
+  /// the journal makes up on resume. Otherwise ends done. Logs one line per
+  /// committed iteration. Driver thread only.
+  void run(hm::common::ThreadPool* pool, const std::function<bool()>& stop);
 
   /// Pool-thread entry point: one supervised evaluation (never throws).
   [[nodiscard]] hm::hypermapper::EvaluationOutcome evaluate(

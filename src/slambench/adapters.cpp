@@ -173,30 +173,12 @@ EvaluationCache::snapshot_sorted() const {
   const std::lock_guard lock(mutex_);
   std::vector<std::pair<std::uint64_t, RunMetrics>> entries;
   entries.reserve(entries_.size());
-  // hm-lint: allow(no-unordered-output-iteration) collected then sorted; no export sees map order
   for (const auto& [key, metrics] : entries_) {
     entries.emplace_back(key, metrics);
   }
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return entries;
-}
-
-hm::common::CsvTable cache_to_csv(const EvaluationCache& cache) {
-  hm::common::CsvTable table({"config_key", "frames", "ate_mean", "ate_max",
-                              "ate_rmse", "tracking_failures",
-                              "relocalizations", "loop_closures", "total_ops"});
-  for (const auto& [key, metrics] : cache.snapshot_sorted()) {
-    table.add_row({std::to_string(key), std::to_string(metrics.frames),
-                   hm::common::format_double(metrics.ate.mean),
-                   hm::common::format_double(metrics.ate.max),
-                   hm::common::format_double(metrics.ate.rmse),
-                   std::to_string(metrics.tracking_failures),
-                   std::to_string(metrics.relocalizations),
-                   std::to_string(metrics.loop_closures),
-                   std::to_string(metrics.stats.total())});
-  }
-  return table;
 }
 
 bool EvaluationCache::store(std::uint64_t key, const RunMetrics& metrics) {

@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "dataset/sequence.hpp"
 #include "elasticfusion/params.hpp"
 #include "hypermapper/evaluator.hpp"
@@ -115,12 +114,6 @@ class EvaluationCache {
   mutable std::size_t hits_ = 0;
   mutable std::size_t misses_ = 0;
 };
-
-/// Serializes a cache snapshot as CSV, rows in ascending key order:
-/// config_key, frames, ate_mean/max/rmse, tracking_failures,
-/// relocalizations, loop_closures, total_ops. Deterministic for a given
-/// set of evaluations regardless of insertion or thread order.
-[[nodiscard]] hm::common::CsvTable cache_to_csv(const EvaluationCache& cache);
 
 /// Objectives returned by both evaluators: [0] = runtime per frame (s) on
 /// the evaluator's device, [1] = ATE (m). Both minimized.

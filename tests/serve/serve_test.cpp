@@ -5,7 +5,8 @@
 //   - a submitted campaign runs to a report byte-identical to a plain
 //     synchronous in-process run (the batch-async + thread-pool path adds
 //     no divergence), and a served KFusion campaign to the report of a
-//     local Campaign run, which a park + recover also reproduces;
+//     local Campaign run, which a park + recover also reproduces, and a
+//     local run parks at its campaign deadline;
 //   - overload is shed with a *typed* busy reply and zero leaked campaigns
 //     (this binary also runs under ThreadSanitizer via scripts/tsan.sh);
 //   - a client that vanishes without `bye`, or stalls mid-frame against the
@@ -27,6 +28,7 @@
 #include <unistd.h>
 
 #include "common/signal.hpp"
+#include "common/thread_pool.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve_util.hpp"
@@ -119,7 +121,9 @@ TEST(ServeServer, ServedKFusionReportMatchesALocalCampaignRun) {
   const auto local = testutil::open_local_campaign(
       ::testing::TempDir() + "serve_test_kf_local", scenario);
   ASSERT_NE(local, nullptr);
-  testutil::drive_campaign(*local);
+  // The pooled in-process path hm_tune takes.
+  hm::common::ThreadPool pool(3);
+  local->run(&pool, {});
   ASSERT_EQ(local->state(), Campaign::State::kDone);
   ASSERT_FALSE(local->report().empty());
 
@@ -140,24 +144,44 @@ TEST(ServeServer, ParkedKFusionCampaignRecoversToTheUninterruptedReport) {
   const auto uninterrupted = testutil::open_local_campaign(
       ::testing::TempDir() + "serve_test_kf_whole", scenario);
   ASSERT_NE(uninterrupted, nullptr);
-  testutil::drive_campaign(*uninterrupted);
+  uninterrupted->run(nullptr, {});
   ASSERT_EQ(uninterrupted->state(), Campaign::State::kDone);
 
   const std::string dir = ::testing::TempDir() + "serve_test_kf_parked";
   {
     const auto first = testutil::open_local_campaign(dir, scenario);
     ASSERT_NE(first, nullptr);
-    testutil::drive_campaign(*first, 1);  // The random bootstrap batch.
-    ASSERT_EQ(first->state(), Campaign::State::kRunning);
-    first->park("test");
+    // Stops once the random bootstrap batch has committed.
+    first->run(nullptr, [&first] { return first->sample_count() > 0; });
     ASSERT_EQ(first->state(), Campaign::State::kParked);
+    EXPECT_EQ(first->park_reason(), "interrupted");
   }
   std::string error;
   const auto recovered = Campaign::recover(dir, "kf-park", &error);
   ASSERT_NE(recovered, nullptr) << error;
-  testutil::drive_campaign(*recovered);
+  recovered->run(nullptr, {});
   ASSERT_EQ(recovered->state(), Campaign::State::kDone);
   EXPECT_EQ(recovered->report(), uninterrupted->report());
+}
+
+TEST(ServeServer, LocalRunParksAtTheCampaignDeadline) {
+  // Every evaluation sleeps 20 ms, so the 12-sample bootstrap overruns a
+  // 50 ms campaign deadline.
+  std::string scenario = grid_scenario("deadline", 1, 0.02);
+  scenario.insert(scenario.size() - 1,
+                  ", \"deadlines\": {\"campaign_seconds\": 0.05}");
+  const std::string dir = ::testing::TempDir() + "serve_test_deadline";
+  {
+    const auto campaign = testutil::open_local_campaign(dir, scenario);
+    ASSERT_NE(campaign, nullptr);
+    campaign->run(nullptr, {});
+    ASSERT_EQ(campaign->state(), Campaign::State::kParked);
+    EXPECT_EQ(campaign->park_reason(), "campaign deadline");
+  }
+  std::string error;
+  const auto recovered = Campaign::recover(dir, "deadline", &error);
+  ASSERT_NE(recovered, nullptr) << error;
+  EXPECT_EQ(recovered->state(), Campaign::State::kRunning);
 }
 
 TEST(ServeServer, FinishedCampaignReportIsCachedForLaterClients) {

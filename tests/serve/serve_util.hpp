@@ -157,20 +157,6 @@ struct RawClient {
          "\"tree_count\": 4}}";
 }
 
-/// Drives a campaign the way hm_tune does in-process (pump, evaluate the
-/// batch, deliver in slot order), serially, for at most `max_batches`
-/// batches or until it settles.
-inline void drive_campaign(Campaign& campaign,
-                           std::size_t max_batches = SIZE_MAX) {
-  for (std::size_t n = 0; n < max_batches; ++n) {
-    const std::vector<Campaign::Dispatch> batch = campaign.pump();
-    if (batch.empty()) return;
-    for (const Campaign::Dispatch& dispatch : batch) {
-      campaign.deliver(dispatch.slot, campaign.evaluate(dispatch.config));
-    }
-  }
-}
-
 /// Opens the scenario as a fresh local Campaign journaled in `dir`.
 [[nodiscard]] inline std::unique_ptr<Campaign> open_local_campaign(
     const std::string& dir, const std::string& scenario_json) {

@@ -2,28 +2,18 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <tuple>
 
 namespace hm::lint {
 
-enum class Severity : std::uint8_t {
-  kWarning,  ///< Reported but does not fail the run.
-  kError,    ///< Any unsuppressed occurrence makes the run exit nonzero.
-};
-
-[[nodiscard]] constexpr const char* to_string(Severity severity) noexcept {
-  return severity == Severity::kError ? "error" : "warning";
-}
-
-/// One finding, located by file and 1-based line.
+/// One finding, located by file and 1-based line. Every finding is an
+/// error: any unsuppressed one makes the run exit nonzero.
 struct Diagnostic {
   std::string file;     ///< Path relative to the lint root.
   std::size_t line = 0;
   std::string rule_id;  ///< E.g. "no-raw-thread"; used by suppressions.
   std::string message;
-  Severity severity = Severity::kError;
 
   [[nodiscard]] friend bool operator<(const Diagnostic& a, const Diagnostic& b) {
     return std::tie(a.file, a.line, a.rule_id, a.message) <

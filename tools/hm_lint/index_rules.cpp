@@ -173,8 +173,7 @@ class LockOrderCycleRule final : public IndexRule {
            std::string(id()),
            "potential deadlock: '" + a + "' and '" + b +
                "' are acquired in both orders — path 1: " + edge.desc +
-               "; path 2: " + back->second.desc,
-           severity()});
+               "; path 2: " + back->second.desc});
     }
     // Longer cycles via DFS over the remaining graph.
     std::map<std::string, std::vector<std::string>> adjacency;
@@ -222,8 +221,7 @@ class LockOrderCycleRule final : public IndexRule {
                                      "potential deadlock: lock-order cycle "
                                      "through " +
                                          std::to_string(cycle_key.size()) +
-                                         " locks — " + desc,
-                                     severity()});
+                                         " locks — " + desc});
                     }
                   }
                   continue;
@@ -330,8 +328,7 @@ class GuardedByRule final : public IndexRule {
                  ann->mutex + ") but is accessed in " + fn.qualified() +
                  " without '" + ann->mutex +
                  "' held (no enclosing guard, and not every indexed caller "
-                 "holds it)",
-             severity()});
+                 "holds it)"});
       }
     }
   }
@@ -457,8 +454,7 @@ class BlockingUnderLockRule final : public IndexRule {
                        *desc + " while holding " + join(held) +
                            " — release the lock before blocking, or "
                            "suppress with the reason the section must "
-                           "exclude writers",
-                       severity()});
+                           "exclude writers"});
       }
     }
   }
@@ -570,8 +566,7 @@ class ForkChildSafetyRule final : public IndexRule {
             out.push_back(
                 {file.path, call.line, std::string(id()),
                  "async-signal-unsafe call in fork child (fork at line " +
-                     std::to_string(region.fork_line) + "): " + *v,
-                 severity()});
+                     std::to_string(region.fork_line) + "): " + *v});
           }
         }
         if (!terminated) {
@@ -580,8 +575,7 @@ class ForkChildSafetyRule final : public IndexRule {
                "fork child branch (fork at line " +
                    std::to_string(region.fork_line) +
                    ") never reaches _exit/exec or an hm-signal-safe "
-                   "function — it may fall through into parent code",
-               severity()});
+                   "function — it may fall through into parent code"});
         }
       }
     }
@@ -611,8 +605,7 @@ class ForkChildSafetyRule final : public IndexRule {
                "signal handler '" + handler->qualified() +
                    "' (registered at " + file.path + ":" +
                    std::to_string(reg.line) +
-                   ") reaches an async-signal-unsafe call: " + *v,
-               severity()});
+                   ") reaches an async-signal-unsafe call: " + *v});
         }
       }
     }

@@ -22,7 +22,6 @@ class IndexRule {
 
   [[nodiscard]] virtual std::string_view id() const = 0;
   [[nodiscard]] virtual std::string_view description() const = 0;
-  [[nodiscard]] virtual Severity severity() const { return Severity::kError; }
 
   /// Appends findings over the whole project to `out`. Must be const and
   /// re-entrant (one instance shared across runs); any memoization is

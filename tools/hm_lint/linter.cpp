@@ -58,8 +58,7 @@ namespace {
     }
     if (!fs::is_directory(path, ec)) {
       io_errors.push_back({entry, 0, "io-error",
-                           "path does not exist under the lint root",
-                           Severity::kError});
+                           "path does not exist under the lint root"});
       continue;
     }
     for (auto it = fs::recursive_directory_iterator(
@@ -144,13 +143,6 @@ struct PassOneOutcome {
 
 }  // namespace
 
-bool LintReport::clean() const {
-  for (const Diagnostic& d : diagnostics) {
-    if (d.severity == Severity::kError) return false;
-  }
-  return true;
-}
-
 std::shared_ptr<const FileContext> make_context(
     std::string path, std::string source,
     std::shared_ptr<const FileContext> companion) {
@@ -208,7 +200,7 @@ LintReport run_lint(
     if (!source) {
       outcomes[i].context = make_context(files[i], "");
       outcomes[i].diagnostics.push_back(
-          {files[i], 0, "io-error", "cannot read file", Severity::kError});
+          {files[i], 0, "io-error", "cannot read file"});
       return;
     }
     // Pair a .cpp with its sibling header so member declarations are

@@ -29,9 +29,6 @@ struct LintReport {
   std::vector<Diagnostic> diagnostics;  ///< Unsuppressed, sorted.
   std::size_t files_scanned = 0;
   std::size_t suppressed = 0;  ///< Diagnostics silenced by allow() comments.
-
-  /// True when nothing error-severity survived suppression.
-  [[nodiscard]] bool clean() const;
 };
 
 /// Analyzes one in-memory source under a display path. This is the

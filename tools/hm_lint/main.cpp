@@ -5,8 +5,8 @@
 // PATHs (files or directories, relative to --root, default ".") are walked;
 // every *.cpp / *.hpp under them is tokenized and checked by the per-file
 // rule set, then the merged semantic index is checked by the cross-file
-// rules. Exit status: 0 when clean, 1 when any unsuppressed error-severity
-// diagnostic survives, 2 on usage errors.
+// rules. Exit status: 0 when clean, 1 when any unsuppressed diagnostic
+// survives, 2 on usage errors.
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -69,12 +69,11 @@ int main(int argc, char** argv) {
   const hm::lint::LintReport report =
       hm::lint::run_lint(root, paths, rules, index_rules);
   for (const auto& d : report.diagnostics) {
-    std::printf("%s:%zu: %s: [%s] %s\n", d.file.c_str(), d.line,
-                hm::lint::to_string(d.severity), d.rule_id.c_str(),
-                d.message.c_str());
+    std::printf("%s:%zu: error: [%s] %s\n", d.file.c_str(), d.line,
+                d.rule_id.c_str(), d.message.c_str());
   }
   std::printf("hm_lint: %zu files, %zu diagnostics (%zu suppressed)\n",
               report.files_scanned, report.diagnostics.size(),
               report.suppressed);
-  return report.clean() ? 0 : 1;
+  return report.diagnostics.empty() ? 0 : 1;
 }

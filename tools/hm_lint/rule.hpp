@@ -49,7 +49,6 @@ class Rule {
 
   [[nodiscard]] virtual std::string_view id() const = 0;
   [[nodiscard]] virtual std::string_view description() const = 0;
-  [[nodiscard]] virtual Severity severity() const { return Severity::kError; }
 
   /// Appends findings for `file` to `out`. Must not touch the filesystem:
   /// everything a rule needs is in the context, which keeps the pass
@@ -61,8 +60,7 @@ class Rule {
   /// Convenience for implementations.
   void report(const FileContext& file, std::size_t line, std::string message,
               std::vector<Diagnostic>& out) const {
-    out.push_back({file.path, line, std::string(id()), std::move(message),
-                   severity()});
+    out.push_back({file.path, line, std::string(id()), std::move(message)});
   }
 };
 

@@ -120,9 +120,9 @@ class NoUnorderedOutputIterationRule final : public Rule {
  private:
   [[nodiscard]] static bool writes_output(const std::vector<Token>& tokens) {
     static const std::set<std::string, std::less<>> kMarkers = {
-        "to_csv",         "write_csv_file", "samples_to_csv", "front_to_csv",
-        "quarantine_to_csv", "cache_to_csv", "ofstream",      "to_ply",
-        "fopen",          "fprintf"};
+        "to_csv",            "write_csv_file", "samples_to_csv", "front_to_csv",
+        "quarantine_to_csv", "ofstream",       "to_ply",         "fopen",
+        "fprintf"};
     for (const Token& t : tokens) {
       if (t.kind == TokenKind::kIdentifier && kMarkers.count(t.text) > 0) {
         return true;

@@ -97,8 +97,7 @@ std::size_t apply_suppressions(const FileContext& file,
         {file.path, suppressions[s].comment_line, "unused-suppression",
          "suppression for '" + suppressions[s].rule_id +
              "' matches no diagnostic; delete it (stale allowlists hide "
-             "real regressions)",
-         Severity::kError});
+             "real regressions)"});
   }
   return removed;
 }
