@@ -7,8 +7,9 @@
 // (crash-atomic) with the build's provenance. Acceptance: >= 2.0x on all
 // 3 vectorized kernels (DESIGN.md §9).
 //
-// --gbench instead runs the original google-benchmark suite (kernels plus
-// the forest fit/predict paths of the optimizer), which besides performance
+// --gbench instead runs the original google-benchmark suite (kernels,
+// ElasticFusion's surfel fusion, and the forest fit/predict paths of the
+// optimizer), which besides performance
 // tracking validates the cost-model substitution (DESIGN.md): counted work
 // per kernel must correlate with wall time.
 #include <benchmark/benchmark.h>
@@ -29,7 +30,9 @@
 #include "common/timer.hpp"
 #include "dataset/renderer.hpp"
 #include "dataset/sdf_scene.hpp"
+#include "dataset/sequence.hpp"
 #include "dataset/trajectory.hpp"
+#include "elasticfusion/surfel_map.hpp"
 #include "kfusion/icp.hpp"
 #include "kfusion/preprocess.hpp"
 #include "kfusion/pyramid.hpp"
@@ -136,6 +139,38 @@ void BM_IcpTrack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IcpTrack)->Unit(benchmark::kMillisecond);
+
+/// Fuses the last frame of a rendered 80x60 sequence into a map warmed on
+/// the frames before it, all at ground-truth poses (the association search
+/// over a populated map is what ElasticFusion's fusion phase spends).
+void BM_SurfelFusion(benchmark::State& state) {
+  constexpr std::size_t kFrames = 24;
+  const auto sequence =
+      dataset::make_benchmark_sequence(kFrames, 80, 60, nullptr, true);
+  kfusion::KernelStats stats;
+  std::vector<kfusion::PyramidLevel> levels;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    levels.push_back(kfusion::build_pyramid(sequence->frame(i).depth,
+                                            sequence->intrinsics(), 1, stats)[0]);
+  }
+  elasticfusion::SurfelMap warmed;
+  for (std::size_t i = 0; i + 1 < kFrames; ++i) {
+    warmed.fuse(levels[i].vertices, levels[i].normals,
+                sequence->frame(i).intensity, sequence->frame(i).ground_truth_pose,
+                static_cast<std::uint32_t>(i), {}, stats);
+  }
+  const auto& last = sequence->frame(kFrames - 1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    elasticfusion::SurfelMap map = warmed;
+    state.ResumeTiming();
+    map.fuse(levels.back().vertices, levels.back().normals, last.intensity,
+             last.ground_truth_pose, static_cast<std::uint32_t>(kFrames - 1),
+             {}, stats);
+    benchmark::DoNotOptimize(map.size());
+  }
+}
+BENCHMARK(BM_SurfelFusion)->Unit(benchmark::kMicrosecond);
 
 void BM_SceneSdfEvaluation(benchmark::State& state) {
   static const dataset::Scene scene = dataset::build_living_room();

@@ -179,9 +179,9 @@ void ElasticFusionPipeline::attempt_loop_closure(
     const std::vector<IntensityImage>& intensity_pyramid, FrameResult& result) {
   // Local loop closure: re-register the current frame against the model
   // seen from the matched keyframe's viewpoint. A consistent solve yields a
-  // small pose correction that is blended into the trajectory and (as the
-  // simplified stand-in for EF's deformation graph, see DESIGN.md) applied
-  // rigidly to the recent map.
+  // small pose correction that is blended into the current pose; the map
+  // itself is not deformed (EF's deformation graph has no counterpart
+  // here, see DESIGN.md).
   hm::geometry::DepthImage snapshot = pyramid[0].depth;
   const auto code = ferns_.encode(
       snapshot, intensity_pyramid.empty() ? IntensityImage{} : intensity_pyramid[0],

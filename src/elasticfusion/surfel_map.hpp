@@ -1,13 +1,12 @@
 // Surfel-based map: ElasticFusion's environment representation. Surfels are
-// fused with confidence-weighted averaging; association uses a uniform
-// spatial hash. Surfels above the confidence threshold form the "stable"
-// model used for tracking and loop closure.
+// fused with confidence-weighted averaging; association searches a uniform
+// cell grid. Surfels above the confidence threshold form the "stable" model
+// that tracking and loop closure register against.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geometry/camera.hpp"
@@ -43,9 +42,9 @@ struct ModelView {
 
 class SurfelMap {
  public:
-  /// `cell_size`: spatial-hash bucket edge (m); association searches the
+  /// `cell_size`: association cell edge (m); association searches the
   /// 3x3x3 neighborhood of a point's cell.
-  explicit SurfelMap(double cell_size = 0.05) : cell_size_(cell_size) {}
+  explicit SurfelMap(double cell_size = 0.05);
 
   [[nodiscard]] std::size_t size() const noexcept { return surfels_.size(); }
   [[nodiscard]] const std::vector<Surfel>& surfels() const noexcept {
@@ -82,10 +81,6 @@ class SurfelMap {
                                   std::uint32_t unstable_window,
                                   KernelStats& stats) const;
 
-  /// Rigidly transforms every surfel (the simplified deformation applied on
-  /// loop closure; see DESIGN.md).
-  void transform(const SE3& correction);
-
   /// Map maintenance, after ElasticFusion's cleanup: removes surfels that
   /// never reached `confidence_threshold` and have not been observed within
   /// `max_age` frames of `current_frame` (stale unstable points, typically
@@ -94,23 +89,77 @@ class SurfelMap {
   std::size_t prune(std::uint32_t current_frame, std::uint32_t max_age,
                     double confidence_threshold, KernelStats& stats);
 
-  /// Serializes surfels at or above `confidence_threshold` as an ASCII PLY
-  /// point cloud with per-point normals and grayscale color.
-  [[nodiscard]] std::string to_ply(double confidence_threshold = 0.0) const;
-
  private:
-  using CellKey = std::uint64_t;
-  [[nodiscard]] CellKey cell_of(Vec3f position) const;
-  static CellKey pack(std::int32_t x, std::int32_t y, std::int32_t z);
+  // The association index: each cell holds a bucket of surfel indices in
+  // a fixed order (insertion order; a surfel leaving a cell is erased in
+  // place, one entering it is appended, and `prune` rebuilds every bucket
+  // in surfel-index order), because `fuse` visits candidates
+  // in (dz, dy, dx) cell order and then bucket order, and the first of
+  // equally distant candidates wins. Cells are named by the wrapped 21-bit
+  // coordinates below, so far-out points share cells deterministically.
+  // Two levels: a flat open-addressing table maps a block of 16^3 cells to
+  // its slice of `buckets_` (x-fastest, so a cell row is contiguous), and
+  // each bucket is a run of `pool_`. See DESIGN.md §9.
+  static constexpr std::uint32_t kCoordMask = (1u << 21) - 1;
+  static constexpr std::uint32_t kBlockBits = 4;
+  static constexpr std::uint32_t kBlockEdge = 1u << kBlockBits;
+  static constexpr std::uint32_t kBlockCells = kBlockEdge * kBlockEdge * kBlockEdge;
+  static constexpr std::uint32_t kNone = ~0u;
+  static constexpr std::uint64_t kNoKey = ~0ull;
+
+  /// Wrapped cell coordinates, each in [0, 2^21).
+  struct Cell {
+    std::uint32_t x, y, z;
+  };
+  /// The smallest pool run a bucket gets; few buckets ever outgrow it.
+  static constexpr std::uint32_t kMinBucketCapacity = 4;
+  /// The pool's first run: always empty, shared by every empty bucket.
+  static constexpr std::uint32_t kEmptyRun = 0;
+  /// `size` surfel indices at `pool_[begin]`; the run's capacity is implied
+  /// by its size (see `append`).
+  struct Bucket {
+    std::uint32_t begin = kEmptyRun;
+    std::uint32_t size = 0;
+  };
+  struct BlockSlot {
+    std::uint64_t key = kNoKey;
+    std::uint32_t base = kNone;  ///< First bucket of the block.
+  };
+
+  [[nodiscard]] Cell cell_of(Vec3f position) const;
+  static std::uint64_t block_key(std::uint32_t x, std::uint32_t y,
+                                 std::uint32_t z) {
+    return (std::uint64_t{x >> kBlockBits} << 34) |
+           (std::uint64_t{y >> kBlockBits} << 17) | (z >> kBlockBits);
+  }
+  static std::uint32_t cell_in_block(std::uint32_t x, std::uint32_t y,
+                                     std::uint32_t z) {
+    constexpr std::uint32_t kLocal = kBlockEdge - 1;
+    return (((z & kLocal) << kBlockBits | (y & kLocal)) << kBlockBits) |
+           (x & kLocal);
+  }
+  /// A block's entry in `recent_keys_`: the parities of its x, y and z, so
+  /// the 8 blocks around any block corner never evict each other.
+  static std::size_t recent_slot(std::uint64_t key) {
+    return (key & 1) | (key >> 16 & 2) | (key >> 32 & 4);
+  }
+  /// First bucket of the block `key`, or kNone; remembers the answer.
+  std::uint32_t find_block(std::uint64_t key);
+  /// The cell's bucket, creating its block if needed.
+  std::uint32_t bucket_of(Cell cell);
+  void insert_block(BlockSlot block);
+  void append(std::uint32_t bucket, std::uint32_t surfel);
+  void erase(std::uint32_t bucket, std::uint32_t surfel);
+  void rebuild_index();
 
   double cell_size_;
   std::vector<Surfel> surfels_;
-  // Spatial hash: cell -> surfel indices. Unordered by design and only
-  // ever *looked up* (association, rebuild after transform/prune) — no
-  // export may iterate it. Exports (to_ply) walk the insertion-ordered
-  // `surfels_` vector, which keeps PLY output byte-stable across reruns;
-  // hm-lint's no-unordered-output-iteration rule guards this invariant.
-  std::unordered_map<CellKey, std::vector<std::uint32_t>> grid_;
+  std::vector<BlockSlot> table_;  ///< Power-of-two size, at most half full.
+  std::vector<Bucket> buckets_;  ///< kBlockCells per block.
+  std::vector<std::uint32_t> pool_;
+  /// The blocks `find_block` saw last, by `recent_slot`.
+  std::array<std::uint64_t, 8> recent_keys_;
+  std::array<std::uint32_t, 8> recent_bases_{};
 };
 
 }  // namespace hm::elasticfusion

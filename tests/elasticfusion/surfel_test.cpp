@@ -190,36 +190,6 @@ TEST(SurfelMap, ZBufferKeepsNearestSurfel) {
   EXPECT_NEAR(view.intensity.at(5, 5), 0.2f, 0.01f);
 }
 
-TEST(SurfelMap, TransformMovesAllSurfels) {
-  WallFrame frame;
-  SurfelMap map;
-  KernelStats stats;
-  map.fuse(frame.vertices, frame.normals, frame.intensity, SE3{}, 0, {}, stats);
-  SE3 shift;
-  shift.translation = {0.5, 0.0, 0.0};
-  std::vector<Vec3f> before;
-  for (const Surfel& s : map.surfels()) before.push_back(s.position);
-  map.transform(shift);
-  for (std::size_t i = 0; i < map.size(); ++i) {
-    EXPECT_NEAR(map.surfels()[i].position.x, before[i].x + 0.5f, 1e-5f);
-  }
-}
-
-TEST(SurfelMap, TransformPreservesAssociationGrid) {
-  WallFrame frame;
-  SurfelMap map;
-  KernelStats stats;
-  map.fuse(frame.vertices, frame.normals, frame.intensity, SE3{}, 0, {}, stats);
-  const std::size_t before = map.size();
-  SE3 shift;
-  shift.translation = {0.25, 0.1, 0.0};
-  map.transform(shift);
-  // Re-fusing observations expressed at the shifted pose should merge, not
-  // duplicate: the spatial hash must have been rebuilt.
-  map.fuse(frame.vertices, frame.normals, frame.intensity, shift, 1, {}, stats);
-  EXPECT_LE(map.size(), before + before / 10);
-}
-
 TEST(SurfelMap, PruneRemovesStaleUnstableSurfels) {
   WallFrame frame;
   SurfelMap map;
@@ -272,42 +242,6 @@ TEST(SurfelMap, PruneRebuildsAssociationGrid) {
   const std::size_t after_prune = map.size();
   map.fuse(frame.vertices, frame.normals, frame.intensity, SE3{}, 6, {}, stats);
   EXPECT_LE(map.size(), after_prune + after_prune / 2);
-}
-
-TEST(SurfelMap, PlyExportContainsStableSurfels) {
-  WallFrame frame;
-  SurfelMap map;
-  KernelStats stats;
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    map.fuse(frame.vertices, frame.normals, frame.intensity, SE3{}, i, {}, stats);
-  }
-  const std::string ply = map.to_ply(1.0);
-  EXPECT_EQ(ply.rfind("ply\nformat ascii 1.0", 0), 0u);
-  // Vertex count in the header equals the stable count.
-  const std::string marker = "element vertex ";
-  const auto pos = ply.find(marker);
-  ASSERT_NE(pos, std::string::npos);
-  const std::size_t declared = std::stoul(ply.substr(pos + marker.size()));
-  EXPECT_EQ(declared, map.stable_count(1.0));
-  // One data line per vertex after the header.
-  const auto header_end = ply.find("end_header\n");
-  ASSERT_NE(header_end, std::string::npos);
-  std::size_t lines = 0;
-  for (std::size_t i = header_end + 11; i < ply.size(); ++i) {
-    lines += ply[i] == '\n' ? 1 : 0;
-  }
-  EXPECT_EQ(lines, declared);
-}
-
-TEST(SurfelMap, PlyExportThresholdFilters) {
-  WallFrame frame;
-  SurfelMap map;
-  KernelStats stats;
-  map.fuse(frame.vertices, frame.normals, frame.intensity, SE3{}, 0, {}, stats);
-  const std::string all = map.to_ply(0.0);
-  const std::string none = map.to_ply(1e9);
-  EXPECT_GT(all.size(), none.size());
-  EXPECT_NE(none.find("element vertex 0"), std::string::npos);
 }
 
 TEST(SurfelMap, DepthDependentRadius) {

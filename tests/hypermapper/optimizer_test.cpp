@@ -178,7 +178,9 @@ TEST(Optimizer, MaxSamplesPerIterationRespected) {
   Optimizer optimizer(space, evaluator, config);
   const OptimizationResult result = optimizer.run();
   for (const IterationStats& stats : result.iterations) {
-    if (stats.iteration > 0) EXPECT_LE(stats.new_samples, 5u);
+    if (stats.iteration > 0) {
+      EXPECT_LE(stats.new_samples, 5u);
+    }
   }
 }
 

@@ -62,7 +62,7 @@ class NoRawThreadRule final : public Rule {
 
 /// unordered_map/unordered_set iteration order is unspecified and varies
 /// across standard libraries and (with pointer-ish keys) across runs.
-/// Feeding it into a CSV/report/PLY export makes the artifact
+/// Feeding it into a CSV/report export makes the artifact
 /// non-reproducible. Fires only in files that actually write such output.
 class NoUnorderedOutputIterationRule final : public Rule {
  public:
@@ -121,8 +121,7 @@ class NoUnorderedOutputIterationRule final : public Rule {
   [[nodiscard]] static bool writes_output(const std::vector<Token>& tokens) {
     static const std::set<std::string, std::less<>> kMarkers = {
         "to_csv",            "write_csv_file", "samples_to_csv", "front_to_csv",
-        "quarantine_to_csv", "ofstream",       "to_ply",         "fopen",
-        "fprintf"};
+        "quarantine_to_csv", "ofstream",       "fopen",          "fprintf"};
     for (const Token& t : tokens) {
       if (t.kind == TokenKind::kIdentifier && kMarkers.count(t.text) > 0) {
         return true;
